@@ -9,13 +9,12 @@ hard-instance generators and a CLI.  All solver arithmetic is exact
 rational.
 """
 
-from .coloring import Coloring, color_digraph, color_simp, cover_colored_hypergraph
+from .coloring import Coloring, color_digraph, cover_colored_hypergraph
 from .copies import (
     DEFAULT_MAX_COPIES,
     Embedding,
     EnumerationBudget,
     build_copy_hypergraph,
-    central_vertices,
     embeddings,
     enumerate_copies,
     find_rooted_copy,
@@ -41,6 +40,7 @@ from .graphs import (
     CopyHypergraph,
     Digraph,
     Graph,
+    Pattern,
     WeightedGraph,
     induced_subgraph,
     parse_graph,
@@ -63,7 +63,6 @@ from .oracle import (
 from .patterns import (
     BlockCutTree,
     GoodGraph,
-    Pattern,
     PatternClass,
     RootedDecomposition,
     SEMI_SYMMETRIC,

@@ -33,14 +33,10 @@ from .generators import (
     random_graph,
     serialize_tagged_graph,
 )
-from .graphs import WeightedGraph, parse_graph, serialize_graph, unit_weights
+from .graphs import Pattern, WeightedGraph, parse_graph, serialize_graph, unit_weights
 from .lp import solve_cover_lp
 from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
-from .patterns import (
-    Pattern,
-    classify_pattern,
-    construct_good_graph,
-)
+from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, solve, solve_baseline, verify_solution
 
 
@@ -64,8 +60,6 @@ def solution_document(sol: Solution, explain: bool = False) -> str:
         "vertices": " ".join(map(str, sol.hitting_set)),
         "weight": str(sol.weight),
     }
-    if sol.observed_ratio is not None:
-        rows["observed_ratio"] = str(sol.observed_ratio)
     if sol.warning is not None:
         rows["warning"] = sol.warning
     lines = [f"{key}: {rows[key]}" for key in sorted(rows)]

@@ -20,11 +20,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .copies import EnumerationBudget, build_copy_hypergraph
 from .errors import InvalidColoringError, VerificationError
-from .graphs import CopyHypergraph, Digraph, WeightedGraph
+from .graphs import CopyHypergraph, Digraph
 from .lp import solve_cover_lp
-from .patterns import Pattern
 
 _ZERO = Fraction(0)
 
@@ -190,23 +188,3 @@ def cover_colored_hypergraph(
             raise VerificationError("selection misses a hyperedge")
     return CoverRun(selected, top_value, tuple(steps))
 
-
-def color_simp(
-    g: WeightedGraph,
-    h: Pattern,
-    coloring: Coloring,
-    budget: EnumerationBudget | None = None,
-) -> tuple[int, ...]:
-    """Cover every copy of the pattern, guided by the colouring.
-
-    Weights must be strictly positive everywhere and the colouring must
-    leave no copy monochromatic; the output weight is at most
-    k(1 - 1/t) times the fractional cover value of the copy hypergraph.
-    """
-    if any(w <= 0 for w in g.weights):
-        raise ValueError("all weights must be strictly positive")
-    if len(coloring.colors) != g.n:
-        raise ValueError("colouring must cover every vertex")
-    hg = build_copy_hypergraph(g, h, budget)
-    run = cover_colored_hypergraph(g.n, hg.hyperedges, g.weights, coloring, h.k)
-    return run.selected

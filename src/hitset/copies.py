@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .errors import BudgetExceededError
-from .graphs import CopyHypergraph, Graph, WeightedGraph
-from .patterns import Pattern
+from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph
 
 DEFAULT_MAX_COPIES = 10**6
 
@@ -48,9 +47,6 @@ class Embedding:
 
     def __getitem__(self, pattern_vertex: int) -> int:
         return self.mapping[pattern_vertex]
-
-    def image(self) -> frozenset[int]:
-        return frozenset(self.mapping)
 
     def vertex_set(self) -> tuple[int, ...]:
         return tuple(sorted(self.mapping))
@@ -182,13 +178,6 @@ def enumerate_copies(
             break
         seen[key] = emb
     return sorted(seen.items())
-
-
-def central_vertices(g: Graph, h: Pattern, root: int) -> tuple[int, ...]:
-    """Host vertices at which some copy of the pattern can be centred."""
-    return tuple(
-        u for u in range(g.n) if find_rooted_copy(g, h.graph, root, u) is not None
-    )
 
 
 def find_rooted_copy(

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .graphs import Edge, Graph, normalize_edge, serialize_graph, unit_weights
-from .patterns import Pattern, block_cut_tree
+from .graphs import Edge, Graph, Pattern, normalize_edge, serialize_graph, unit_weights
+from .patterns import block_cut_tree
 
 
 def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -146,15 +146,14 @@ class GLParams:
 class TaggedGraph:
     """Cloud instance plus the provenance of every planted edge.
 
-    ``tags`` records the first tag per edge; ``all_tags`` keeps every tag
-    of collapsed parallel plantings, so intended copies stay checkable.
+    ``all_tags`` keeps every tag of collapsed parallel plantings, first
+    planting first, so intended copies stay checkable.
     ``planted`` lists (hyperedge index, copy index, vertex tuple) for
     every planted copy.
     """
 
     graph: Graph
     clouds: dict[int, tuple[int, ...]]
-    tags: dict[Edge, tuple[int, int]]
     all_tags: dict[Edge, tuple[tuple[int, int], ...]]
     planted: tuple[tuple[int, int, tuple[int, ...]], ...]
 
@@ -175,7 +174,6 @@ def gl_random_instance(h: Pattern, params: GLParams) -> TaggedGraph:
             )
     B = params.cloud_size
     edges: set[Edge] = set()
-    tags: dict[Edge, tuple[int, int]] = {}
     all_tags: dict[Edge, list[tuple[int, int]]] = defaultdict(list)
     planted: list[tuple[int, int, tuple[int, ...]]] = []
     pattern_edges = h.graph.sorted_edges()
@@ -188,14 +186,12 @@ def gl_random_instance(h: Pattern, params: GLParams) -> TaggedGraph:
                 ge = normalize_edge(verts[p], verts[q])
                 edges.add(ge)
                 all_tags[ge].append((ei, j))
-                tags.setdefault(ge, (ei, j))
             planted.append((ei, j, verts))
     graph = Graph(params.base_n * B, frozenset(edges))
     clouds = {v: tuple(range(v * B, (v + 1) * B)) for v in range(params.base_n)}
     return TaggedGraph(
         graph,
         clouds,
-        tags,
         {e: tuple(ts) for e, ts in all_tags.items()},
         tuple(planted),
     )

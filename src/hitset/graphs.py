@@ -87,6 +87,23 @@ class Graph:
         return len(seen) == self.n
 
 
+@dataclass(frozen=True)
+class Pattern:
+    """The fixed graph whose copies must be hit; connected, >= 2 vertices."""
+
+    graph: Graph
+
+    def __post_init__(self):
+        if self.graph.n < 2:
+            raise ValueError("pattern needs at least two vertices")
+        if not self.graph.is_connected():
+            raise ValueError("pattern must be connected")
+
+    @property
+    def k(self) -> int:
+        return self.graph.n
+
+
 def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``vertices``, relabelled densely.
 

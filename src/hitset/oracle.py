@@ -19,8 +19,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .copies import EnumerationBudget, build_copy_hypergraph
-from .graphs import Graph, WeightedGraph
-from .patterns import GoodGraph, Pattern
+from .graphs import Graph, Pattern, WeightedGraph
+from .patterns import GoodGraph
 
 DEFAULT_CAP = 20
 _ZERO = Fraction(0)

@@ -13,28 +13,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .graphs import Graph, as_fraction, induced_subgraph, normalize_edge
+from .copies import embeddings
+from .graphs import Graph, Pattern, as_fraction, induced_subgraph, normalize_edge
 
 SEMI_SYMMETRIC = "semi-symmetric"
 TWO_CONNECTED = "two-connected"
 UNKNOWN = "unknown"
-
-
-@dataclass(frozen=True)
-class Pattern:
-    """The fixed graph whose copies must be hit; connected, >= 2 vertices."""
-
-    graph: Graph
-
-    def __post_init__(self):
-        if self.graph.n < 2:
-            raise ValueError("pattern needs at least two vertices")
-        if not self.graph.is_connected():
-            raise ValueError("pattern must be connected")
-
-    @property
-    def k(self) -> int:
-        return self.graph.n
 
 
 @dataclass(frozen=True)
@@ -140,40 +124,12 @@ def rooted_subgraph_contains(
     """Lexicographically least injective edge-preserving map fixing the root.
 
     Returns a tuple ``m`` with ``m[u]`` the image of small-vertex ``u``,
-    or None when no such map exists.  Both graphs are expected connected.
+    or None when no such map exists.  ``small`` must be connected.
     """
-    if small.n > big.n:
-        return None
-    big_adj = big.adjacency()
-    big_sets = [set(row) for row in big_adj]
-    small_adj = small.adjacency()
-    order = [small_root] + [u for u in range(small.n) if u != small_root]
-    mapping = [-1] * small.n
-    used = [False] * big.n
-
-    def extend(idx: int) -> bool:
-        if idx == small.n:
-            return True
-        u = order[idx]
-        candidates = [big_root] if u == small_root else range(big.n)
-        for c in candidates:
-            if used[c]:
-                continue
-            if len(big_adj[c]) < len(small_adj[u]):
-                continue
-            if any(mapping[x] != -1 and mapping[x] not in big_sets[c] for x in small_adj[u]):
-                continue
-            mapping[u] = c
-            used[c] = True
-            if extend(idx + 1):
-                return True
-            mapping[u] = -1
-            used[c] = False
-        return False
-
-    if extend(0):
-        return tuple(mapping)
-    return None
+    return min(
+        (emb.mapping for emb in embeddings(big, small, root=small_root, root_image=big_root)),
+        default=None,
+    )
 
 
 def _branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:
@@ -245,7 +201,6 @@ class GoodGraph:
     graph: Graph
     weights: tuple[Fraction, ...]
     factor: Fraction
-    branch_hint: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
         ws = tuple(as_fraction(w) for w in self.weights)
@@ -292,8 +247,7 @@ def construct_good_graph(p: Pattern, d: RootedDecomposition) -> GoodGraph:
     for u in halves:
         weights[u] = Fraction(1, 2)
     factor = Fraction(p.k) - Fraction(len(small) - 1, 2)
-    hint = (small, big, tuple(sorted(set(fresh.values()) | {v})))
-    return GoodGraph(gadget, tuple(weights), factor, hint)
+    return GoodGraph(gadget, tuple(weights), factor)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .coloring import Coloring, color_digraph, cover_colored_hypergraph
 from .copies import (
@@ -26,13 +26,12 @@ from .copies import (
     find_rooted_copy,
 )
 from .errors import BudgetExceededError, VerificationError
-from .graphs import CopyHypergraph, Digraph, Graph, WeightedGraph
+from .graphs import CopyHypergraph, Digraph, Graph, Pattern, WeightedGraph
 from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
 from .oracle import verify_goodness
 from .patterns import (
     GoodGraph,
-    Pattern,
     RootedDecomposition,
     SEMI_SYMMETRIC,
     UNKNOWN,
@@ -61,7 +60,6 @@ class Solution:
     lower_bound: Fraction
     guaranteed_factor: Fraction
     classification: str
-    observed_ratio: Fraction | None = None
     warning: str | None = None
     detail: SolveDetail | None = None
 
@@ -70,9 +68,14 @@ def solve_semi_symmetric(
     g: WeightedGraph,
     h: Pattern,
     decomposition: RootedDecomposition,
+    hyperedges: Sequence[tuple[int, ...]],
     budget: EnumerationBudget | None = None,
 ) -> Solution:
-    """The (k - 1/2)-factor route for a pattern with a usable cut vertex."""
+    """The (k - 1/2)-factor route for a pattern with a usable cut vertex.
+
+    ``hyperedges`` are the vertex sets of all copies of ``h`` in ``g``;
+    the cover step uses those that survive the decomposition.
+    """
     if budget is None:
         budget = EnumerationBudget()
     k = h.k
@@ -106,14 +109,9 @@ def solve_semi_symmetric(
             raise VerificationError("conflict colouring is not proper")
     coloring = Coloring(base_coloring.colors, 2 * k)
 
-    residual_copies = enumerate_copies(g.graph, h, budget, allowed=positive)
-    if budget.exceeded:
-        raise BudgetExceededError(
-            f"residual enumeration exceeded the budget of {budget.max_copies}"
-        )
     run = cover_colored_hypergraph(
         g.n,
-        tuple(vs for vs, _ in residual_copies),
+        tuple(e for e in hyperedges if positive.issuperset(e)),
         trace.final_weights,
         coloring,
         k,
@@ -168,9 +166,16 @@ def solve(
     """
     if budget is None:
         budget = EnumerationBudget()
+    copies = enumerate_copies(g.graph, h, budget)
+    if budget.exceeded:
+        raise BudgetExceededError(
+            f"copy enumeration exceeded the budget of {budget.max_copies}"
+        )
+    hyperedges = tuple(vs for vs, _ in copies)
+
     cls = classify_pattern(h)
     if cls.kind == SEMI_SYMMETRIC:
-        sol = solve_semi_symmetric(g, h, cls.decomposition, budget)
+        sol = solve_semi_symmetric(g, h, cls.decomposition, hyperedges, budget)
     else:
         sol = solve_baseline(g, h, budget)
         sol.classification = cls.kind
@@ -179,13 +184,6 @@ def solve(
                 "pattern is neither 2-connected nor has a usable cut vertex; "
                 "only the trivial factor applies"
             )
-
-    copies = enumerate_copies(g.graph, h, budget)
-    if budget.exceeded:
-        raise BudgetExceededError(
-            f"copy enumeration exceeded the budget of {budget.max_copies}"
-        )
-    hyperedges = tuple(vs for vs, _ in copies)
 
     # certificate: fractional cover value of the original instance; edges
     # touching a zero-weight vertex are covered for free

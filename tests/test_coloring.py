@@ -11,8 +11,8 @@ from hitset import (
     InvalidColoringError,
     Pattern,
     WeightedGraph,
+    build_copy_hypergraph,
     color_digraph,
-    color_simp,
     cover_colored_hypergraph,
     solve_cover_lp,
     unit_weights,
@@ -66,45 +66,51 @@ def test_random_digraph_property(seed):
     assert c.t == 2 * m + 1
 
 
-def test_color_simp_triangle_host():
+def _cover_copies(g: WeightedGraph, coloring: Coloring) -> tuple[int, ...]:
+    """Colour-guided cover of every P3 copy of ``g``."""
+    hyperedges = build_copy_hypergraph(g, P3).hyperedges
+    return cover_colored_hypergraph(g.n, hyperedges, g.weights, coloring, P3.k).selected
+
+
+def test_cover_copies_triangle_host():
     g = unit_weights(complete_graph(3))
     coloring = Coloring((0, 1, 2), 6)
-    selected = color_simp(g, P3, coloring)
+    selected = _cover_copies(g, coloring)
     # covers the one copy within the guaranteed budget 3 * (5/6) * 1
     assert len(selected) >= 1
     assert sum(g.weights[v] for v in selected) <= Fraction(5, 2)
 
 
-def test_color_simp_two_disjoint_copies():
+def test_cover_copies_two_disjoint_copies():
     g = unit_weights(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
     coloring = Coloring((0, 1, 2, 0, 1, 2), 6)
-    selected = color_simp(g, P3, coloring)
+    selected = _cover_copies(g, coloring)
     assert sum(g.weights[v] for v in selected) <= Fraction(5)
     assert {1, 4} & set(selected) or len(selected) >= 2
 
 
-def test_color_simp_pattern_free():
+def test_cover_copies_pattern_free():
     g = unit_weights(Graph(3, [(0, 1)]))
     coloring = Coloring((0, 0, 0), 6)
-    assert color_simp(g, P3, coloring) == ()
+    assert _cover_copies(g, coloring) == ()
 
 
-def test_color_simp_rejects_monochromatic():
+def test_cover_copies_rejects_monochromatic():
     g = unit_weights(complete_graph(3))
     with pytest.raises(InvalidColoringError):
-        color_simp(g, P3, Coloring((0, 0, 0), 6))
+        _cover_copies(g, Coloring((0, 0, 0), 6))
 
 
-def test_color_simp_rejects_small_palette():
+def test_cover_copies_rejects_small_palette():
     g = unit_weights(complete_graph(3))
     with pytest.raises(ValueError):
-        color_simp(g, P3, Coloring((0, 1, 0), 2))
+        _cover_copies(g, Coloring((0, 1, 0), 2))
 
 
-def test_color_simp_rejects_zero_weights():
+def test_cover_copies_rejects_zero_weights():
     g = WeightedGraph(Graph(3, [(0, 1), (1, 2)]), (Fraction(1), Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
-        color_simp(g, P3, Coloring((0, 1, 2), 6))
+        _cover_copies(g, Coloring((0, 1, 2), 6))
 
 
 def _valid_coloring(rng: random.Random, edges, n: int, t: int) -> Coloring:

@@ -6,7 +6,6 @@ from hitset import (
     Graph,
     Pattern,
     build_copy_hypergraph,
-    central_vertices,
     embeddings,
     enumerate_copies,
     find_rooted_copy,
@@ -78,25 +77,28 @@ def test_hypergraph_pattern_free_host():
     assert hg.covered_vertices() == ()
 
 
-def test_central_vertices_star():
-    assert central_vertices(star_graph(3), P3, 1) == (0,)
+def _centres(g: Graph, h: Pattern, root: int) -> tuple[int, ...]:
+    """Host vertices at which some copy of the pattern can be centred."""
+    return tuple(u for u in range(g.n) if find_rooted_copy(g, h.graph, root, u) is not None)
 
 
-def test_central_vertices_path():
-    assert central_vertices(path_graph(4), P3, 1) == (1, 2)
+def test_centres_star():
+    assert _centres(star_graph(3), P3, 1) == (0,)
 
 
-def test_central_vertices_empty():
-    assert central_vertices(Graph(3, [(0, 1)]), K3, 0) == ()
+def test_centres_path():
+    assert _centres(path_graph(4), P3, 1) == (1, 2)
 
 
-def test_central_matches_rooted_search():
+def test_centres_empty():
+    assert _centres(Graph(3, [(0, 1)]), K3, 0) == ()
+
+
+def test_centres_match_full_enumeration():
     g = random_graph(8, 0.4, 9)
     for root in range(3):
-        expected = tuple(
-            u for u in range(g.n) if find_rooted_copy(g, P3.graph, root, u) is not None
-        )
-        assert central_vertices(g, P3, root) == expected
+        expected = tuple(sorted({emb[root] for emb in embeddings(g, P3.graph)}))
+        assert _centres(g, P3, root) == expected
 
 
 def test_find_rooted_copy_edge():

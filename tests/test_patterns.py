@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -12,7 +13,9 @@ from hitset import (
     classify_pattern,
     construct_good_graph,
     find_semi_symmetric_cut_vertex,
+    induced_subgraph,
     is_two_connected,
+    random_graph,
     rooted_subgraph_contains,
     verify_goodness,
 )
@@ -135,6 +138,51 @@ def test_rooted_containment_triangle_into_square():
 
 def test_rooted_containment_too_big():
     assert rooted_subgraph_contains(cycle_graph(4), 0, complete_graph(3), 0) is None
+
+
+def _least_rooted_map(small: Graph, small_root: int, big: Graph, big_root: int):
+    """Brute force: permutations come in lexicographic order, so the first hit is least."""
+    for m in itertools.permutations(range(big.n), small.n):
+        if m[small_root] == big_root and all(big.has_edge(m[a], m[b]) for a, b in small.edges):
+            return m
+    return None
+
+
+def _tree_branches(t: Graph) -> set[tuple[Graph, int]]:
+    """Every branch of a tree at each cut vertex, relabelled, with its root."""
+    adj = t.adjacency()
+    out = set()
+    for v in block_cut_tree(t).cut_vertices:
+        for u in adj[v]:
+            comp, stack = {v, u}, [u]
+            while stack:
+                for x in adj[stack.pop()]:
+                    if x not in comp:
+                        comp.add(x)
+                        stack.append(x)
+            sub, ids = induced_subgraph(t, comp)
+            out.add((sub, ids.index(v)))
+    return out
+
+
+def test_rooted_containment_matches_brute_force():
+    rooted = set()
+    for n in range(3, 7):
+        for t in all_trees(n):
+            rooted |= _tree_branches(t)
+    for seed in range(40):
+        g = random_graph(2 + seed % 4, 0.6, 500 + seed)
+        if g.is_connected():
+            rooted.add((g, seed % g.n))
+    rooted = sorted(rooted, key=lambda gr: (gr[0].n, sorted(gr[0].edges), gr[1]))
+    found = missing = 0
+    for small, small_root in rooted:
+        for big, big_root in rooted:
+            expected = _least_rooted_map(small, small_root, big, big_root)
+            assert rooted_subgraph_contains(small, small_root, big, big_root) == expected
+            found += expected is not None
+            missing += expected is None
+    assert found > 100 and missing > 100
 
 
 def test_good_graph_path3():

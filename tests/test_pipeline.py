@@ -33,6 +33,10 @@ P3 = Pattern(path_graph(3))
 K3 = Pattern(complete_graph(3))
 
 
+def _copy_sets(g: Graph, h: Pattern) -> tuple[tuple[int, ...], ...]:
+    return tuple(vs for vs, _ in enumerate_copies(g, h))
+
+
 def test_solve_triangle_host():
     sol = solve(unit_weights(complete_graph(3)), P3)
     assert sol.classification == SEMI_SYMMETRIC
@@ -85,7 +89,8 @@ def test_semi_symmetric_star_host():
 
 def test_semi_symmetric_k3_host_details():
     d = find_semi_symmetric_cut_vertex(P3)
-    sol = solve_semi_symmetric(unit_weights(complete_graph(3)), P3, d)
+    g = complete_graph(3)
+    sol = solve_semi_symmetric(unit_weights(g), P3, d, _copy_sets(g, P3))
     assert sol.detail.trace.steps == ()
     assert sol.detail.residual_vertices == (0, 1, 2)
     # every vertex is central with two outgoing arcs
@@ -134,7 +139,7 @@ def test_factor_guarantee_small_corpus(seed):
 def test_residual_copies_bichromatic_and_spokes_blocked(seed):
     g = unit_weights(random_graph(10, 0.5, 8000 + seed))
     d = find_semi_symmetric_cut_vertex(P3)
-    sol = solve_semi_symmetric(g, P3, d)
+    sol = solve_semi_symmetric(g, P3, d, _copy_sets(g.graph, P3))
     detail = sol.detail
     positive = frozenset(detail.residual_vertices)
     colors = detail.coloring.colors
@@ -169,6 +174,17 @@ def test_budget_propagates():
     g = unit_weights(star_graph(4))
     with pytest.raises(BudgetExceededError):
         solve(g, P3, EnumerationBudget(max_copies=1))
+
+
+def test_budget_charges_each_copy_once_plus_each_step():
+    g = unit_weights(random_graph(30, 0.15, 1))
+    budget = EnumerationBudget()
+    sol = solve(g, P3, budget)
+    charged = len(enumerate_copies(g.graph, P3)) + len(sol.detail.trace.steps)
+    assert budget.used == charged
+    assert solve(g, P3, EnumerationBudget(max_copies=charged)).hitting_set == sol.hitting_set
+    with pytest.raises(BudgetExceededError):
+        solve(g, P3, EnumerationBudget(max_copies=charged - 1))
 
 
 def test_verify_solution_cases():
