@@ -72,7 +72,7 @@ def _cover_copies(g: WeightedGraph, coloring: Coloring) -> tuple[int, ...]:
     return cover_colored_hypergraph(g.n, hyperedges, g.weights, coloring, P3.k).selected
 
 
-def test_cover_copies_triangle_host():
+def test_color_simp_triangle_host():
     g = unit_weights(complete_graph(3))
     coloring = Coloring((0, 1, 2), 6)
     selected = _cover_copies(g, coloring)
@@ -81,7 +81,7 @@ def test_cover_copies_triangle_host():
     assert sum(g.weights[v] for v in selected) <= Fraction(5, 2)
 
 
-def test_cover_copies_two_disjoint_copies():
+def test_color_simp_two_disjoint_copies():
     g = unit_weights(Graph(6, [(0, 1), (1, 2), (3, 4), (4, 5)]))
     coloring = Coloring((0, 1, 2, 0, 1, 2), 6)
     selected = _cover_copies(g, coloring)
@@ -89,25 +89,25 @@ def test_cover_copies_two_disjoint_copies():
     assert {1, 4} & set(selected) or len(selected) >= 2
 
 
-def test_cover_copies_pattern_free():
+def test_color_simp_pattern_free():
     g = unit_weights(Graph(3, [(0, 1)]))
     coloring = Coloring((0, 0, 0), 6)
     assert _cover_copies(g, coloring) == ()
 
 
-def test_cover_copies_rejects_monochromatic():
+def test_color_simp_rejects_monochromatic():
     g = unit_weights(complete_graph(3))
     with pytest.raises(InvalidColoringError):
         _cover_copies(g, Coloring((0, 0, 0), 6))
 
 
-def test_cover_copies_rejects_small_palette():
+def test_color_simp_rejects_small_palette():
     g = unit_weights(complete_graph(3))
     with pytest.raises(ValueError):
         _cover_copies(g, Coloring((0, 1, 0), 2))
 
 
-def test_cover_copies_rejects_zero_weights():
+def test_color_simp_rejects_zero_weights():
     g = WeightedGraph(Graph(3, [(0, 1), (1, 2)]), (Fraction(1), Fraction(0), Fraction(1)))
     with pytest.raises(ValueError):
         _cover_copies(g, Coloring((0, 1, 2), 6))

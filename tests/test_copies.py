@@ -82,19 +82,19 @@ def _centres(g: Graph, h: Pattern, root: int) -> tuple[int, ...]:
     return tuple(u for u in range(g.n) if find_rooted_copy(g, h.graph, root, u) is not None)
 
 
-def test_centres_star():
+def test_central_vertices_star():
     assert _centres(star_graph(3), P3, 1) == (0,)
 
 
-def test_centres_path():
+def test_central_vertices_path():
     assert _centres(path_graph(4), P3, 1) == (1, 2)
 
 
-def test_centres_empty():
+def test_central_vertices_empty():
     assert _centres(Graph(3, [(0, 1)]), K3, 0) == ()
 
 
-def test_centres_match_full_enumeration():
+def test_central_matches_rooted_search():
     g = random_graph(8, 0.4, 9)
     for root in range(3):
         expected = tuple(sorted({emb[root] for emb in embeddings(g, P3.graph)}))
