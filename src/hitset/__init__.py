@@ -12,13 +12,11 @@ rational.
 from .coloring import Coloring, color_digraph, cover_colored_hypergraph
 from .copies import (
     DEFAULT_MAX_COPIES,
-    Embedding,
     EnumerationBudget,
     build_copy_hypergraph,
     embeddings,
     enumerate_copies,
     find_rooted_copy,
-    is_embedding,
 )
 from .errors import (
     BudgetExceededError,
@@ -47,7 +45,7 @@ from .graphs import (
     serialize_graph,
     unit_weights,
 )
-from .localratio import DecompositionTrace, TraceStep, decompose_weights, find_positive_copy
+from .localratio import DecompositionTrace, TraceStep, decompose_weights
 from .lp import (
     FractionalCover,
     FractionalMatching,

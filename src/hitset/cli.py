@@ -35,7 +35,12 @@ from .generators import (
 )
 from .graphs import Pattern, WeightedGraph, parse_graph, serialize_graph, unit_weights
 from .lp import solve_cover_lp
-from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
+from .oracle import (
+    DEFAULT_CAP,
+    exact_min_hitting_set,
+    exact_min_vertex_cover,
+    min_weight_cover,
+)
 from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, solve, solve_baseline, verify_solution
 
@@ -67,12 +72,8 @@ def solution_document(sol: Solution, explain: bool = False) -> str:
         d = sol.detail
         if d.trace is not None:
             for num, st in enumerate(d.trace.steps, start=1):
-                image = " ".join(
-                    f"{x}->{st.embedding.mapping[x]}" for x in range(len(st.embedding.mapping))
-                )
-                lines.append(
-                    f"# subtraction step {num}: gadget {st.good_index} scale {st.scale} image {image}"
-                )
+                image = " ".join(f"{x}->{y}" for x, y in enumerate(st.embedding))
+                lines.append(f"# subtraction step {num}: gadget 0 scale {st.scale} image {image}")
             lines.append(
                 "# zero set: " + " ".join(map(str, sorted(d.trace.zero_set)))
             )
@@ -218,7 +219,7 @@ def _cmd_bench(args) -> int:
         tau = solve_cover_lp(hg, g.weights)[0].value if hg.hyperedges else Fraction(0)
         opt = None
         if g.n <= args.cap:
-            _, opt = exact_min_hitting_set(g, h, cap=args.cap)
+            _, opt = min_weight_cover(hg.hyperedges, g.weights)
         def ratio(weight):
             if opt is None or opt == 0:
                 return "-"

@@ -1,10 +1,12 @@
 """Enumeration of pattern copies: embeddings, vertex sets, rooted copies.
 
-Copies are subgraph embeddings (not necessarily induced).  Backtracking
-matches pattern vertices in a connectivity-respecting order with candidate
-images tried in ascending id, so enumeration order is deterministic.
-Distinct copies are deduplicated by vertex set: copies on the same
-vertices are hit by the same vertices, so one hyperedge per set suffices.
+Copies are subgraph embeddings (not necessarily induced).  An embedding
+is a tuple whose entry i is the host image of pattern vertex i.
+Backtracking matches pattern vertices in a connectivity-respecting order
+with candidate images tried in ascending id, so enumeration order is
+deterministic.  Distinct copies are deduplicated by vertex set: copies
+on the same vertices are hit by the same vertices, so one hyperedge per
+set suffices.
 """
 
 from __future__ import annotations
@@ -20,45 +22,16 @@ DEFAULT_MAX_COPIES = 10**6
 
 @dataclass
 class EnumerationBudget:
-    """Caps the number of distinct copies an operation may enumerate."""
+    """Caps the units of work (distinct copies, subtraction steps) a run may charge."""
 
     max_copies: int = DEFAULT_MAX_COPIES
-    exceeded: bool = False
     used: int = field(default=0, repr=False)
 
-    def charge(self) -> bool:
-        """Account for one more copy; False once the cap is hit."""
+    def charge(self, phase: str) -> None:
+        """Account for one more unit; raise, naming ``phase``, once the cap is hit."""
         if self.used >= self.max_copies:
-            self.exceeded = True
-            return False
+            raise BudgetExceededError(f"{phase} exceeded the budget of {self.max_copies}")
         self.used += 1
-        return True
-
-
-@dataclass(frozen=True)
-class Embedding:
-    """Injective map from pattern vertices to host vertices.
-
-    ``mapping[i]`` is the image of pattern vertex i; every pattern edge
-    maps to a host edge.
-    """
-
-    mapping: tuple[int, ...]
-
-    def __getitem__(self, pattern_vertex: int) -> int:
-        return self.mapping[pattern_vertex]
-
-    def vertex_set(self) -> tuple[int, ...]:
-        return tuple(sorted(self.mapping))
-
-
-def is_embedding(g: Graph, h: Graph, mapping: tuple[int, ...]) -> bool:
-    """Check injectivity and edge preservation of a candidate map."""
-    if len(mapping) != h.n or len(set(mapping)) != h.n:
-        return False
-    if any(not 0 <= x < g.n for x in mapping):
-        return False
-    return all(g.has_edge(mapping[u], mapping[v]) for u, v in h.edges)
 
 
 def _match_order(h: Graph, root: int | None) -> list[int]:
@@ -93,7 +66,7 @@ def embeddings(
     root_image: int | None = None,
     allowed: frozenset[int] | None = None,
     forbidden: frozenset[int] | None = None,
-) -> Iterator[Embedding]:
+) -> Iterator[tuple[int, ...]]:
     """Yield embeddings of ``h`` into ``g`` in deterministic order.
 
     ``root``/``root_image`` pin one pattern vertex to one host vertex.
@@ -120,12 +93,12 @@ def embeddings(
     image = [-1] * h.n
     used: set[int] = set()
 
-    def extend(idx: int) -> Iterator[Embedding]:
+    def extend(idx: int) -> Iterator[tuple[int, ...]]:
         if idx == h.n:
             mapping = [0] * h.n
             for pos, hv in enumerate(order):
                 mapping[hv] = image[pos]
-            yield Embedding(tuple(mapping))
+            yield tuple(mapping)
             return
         hv = order[idx]
         if idx == 0:
@@ -156,28 +129,22 @@ def embeddings(
 
 
 def enumerate_copies(
-    g: Graph,
-    h: Pattern,
-    budget: EnumerationBudget | None = None,
-    *,
-    allowed: frozenset[int] | None = None,
-) -> list[tuple[tuple[int, ...], Embedding]]:
-    """Distinct copy vertex sets with one witness embedding each.
+    g: Graph, h: Pattern, budget: EnumerationBudget | None = None
+) -> list[tuple[int, ...]]:
+    """Distinct copy vertex sets, each a sorted tuple, sorted lexicographically.
 
-    Result is sorted lexicographically by vertex set.  When the budget
-    runs out its ``exceeded`` flag is set and the partial result returned.
+    Each new vertex set is charged to the budget, which raises
+    ``BudgetExceededError`` once it runs out.
     """
     if budget is None:
         budget = EnumerationBudget()
-    seen: dict[tuple[int, ...], Embedding] = {}
-    for emb in embeddings(g, h.graph, allowed=allowed):
-        key = emb.vertex_set()
-        if key in seen:
-            continue
-        if not budget.charge():
-            break
-        seen[key] = emb
-    return sorted(seen.items())
+    seen: set[tuple[int, ...]] = set()
+    for emb in embeddings(g, h.graph):
+        key = tuple(sorted(emb))
+        if key not in seen:
+            budget.charge("copy enumeration")
+            seen.add(key)
+    return sorted(seen)
 
 
 def find_rooted_copy(
@@ -186,27 +153,18 @@ def find_rooted_copy(
     f_root: int,
     at: int,
     forbidden: frozenset[int] = frozenset(),
-) -> Embedding | None:
+) -> tuple[int, ...] | None:
     """First embedding of ``f`` mapping its root to ``at``.
 
     Non-root vertices avoid ``forbidden``; the root image is exempt.
     """
     if not 0 <= at < g.n:
         return None
-    for emb in embeddings(g, f, root=f_root, root_image=at, forbidden=forbidden):
-        return emb
-    return None
+    return next(embeddings(g, f, root=f_root, root_image=at, forbidden=forbidden), None)
 
 
 def build_copy_hypergraph(
     g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> CopyHypergraph:
     """Hypergraph whose hyperedges are the distinct copy vertex sets."""
-    if budget is None:
-        budget = EnumerationBudget()
-    copies = enumerate_copies(g.graph, h, budget)
-    if budget.exceeded:
-        raise BudgetExceededError(
-            f"copy enumeration exceeded the budget of {budget.max_copies}"
-        )
-    return CopyHypergraph(g.n, tuple(vs for vs, _ in copies))
+    return CopyHypergraph(g.n, tuple(enumerate_copies(g.graph, h, budget)))

@@ -15,16 +15,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .copies import Embedding, EnumerationBudget, embeddings
-from .errors import BudgetExceededError, VerificationError
+from .copies import EnumerationBudget, embeddings
+from .errors import VerificationError
 from .graphs import WeightedGraph
 from .patterns import GoodGraph
 
 
 @dataclass(frozen=True)
 class TraceStep:
-    good_index: int
-    embedding: Embedding
+    embedding: tuple[int, ...]
     scale: Fraction
 
 
@@ -41,38 +40,23 @@ class DecompositionTrace:
     final_weights: tuple[Fraction, ...]
     zero_set: frozenset[int]
 
-    def dual_bound(self, goods: list[GoodGraph]) -> Fraction:
+    def dual_bound(self, good: GoodGraph) -> Fraction:
         """Lower bound on the optimum certified by the subtractions."""
-        return sum(
-            (
-                st.scale * goods[st.good_index].total_weight / goods[st.good_index].factor
-                for st in self.steps
-            ),
-            Fraction(0),
-        )
-
-
-def find_positive_copy(g: WeightedGraph, good: GoodGraph) -> Embedding | None:
-    """First embedding of the gadget whose image has all weights positive."""
-    allowed = frozenset(v for v in range(g.n) if g.weights[v] > 0)
-    for emb in embeddings(g.graph, good.graph, allowed=allowed):
-        return emb
-    return None
+        scales = sum((st.scale for st in self.steps), Fraction(0))
+        return scales * good.total_weight / good.factor
 
 
 def decompose_weights(
     g: WeightedGraph,
-    goods: list[GoodGraph],
+    good: GoodGraph,
     budget: EnumerationBudget | None = None,
 ) -> DecompositionTrace:
     """Run the subtraction loop until no gadget sits on positive weights.
 
-    Gadgets are tried in list order, embeddings in canonical order, so
-    the trace is deterministic.  Callers are responsible for supplying
-    verified gadgets (see ``oracle.verify_goodness``).
+    Embeddings are tried in canonical order, so the trace is
+    deterministic.  Callers are responsible for supplying a verified
+    gadget (see ``oracle.verify_goodness``).
     """
-    if not goods:
-        raise ValueError("need at least one good graph")
     if budget is None:
         budget = EnumerationBudget()
     weights = list(g.weights)
@@ -80,23 +64,13 @@ def decompose_weights(
     steps: list[TraceStep] = []
     zero_count = sum(1 for w in weights if w == 0)
     while True:
-        found = None
         allowed = frozenset(v for v in range(n) if weights[v] > 0)
-        for gi, good in enumerate(goods):
-            for emb in embeddings(g.graph, good.graph, allowed=allowed):
-                found = (gi, good, emb)
-                break
-            if found:
-                break
-        if not found:
+        emb = next(embeddings(g.graph, good.graph, allowed=allowed), None)
+        if emb is None:
             break
-        gi, good, emb = found
-        if not budget.charge():
-            raise BudgetExceededError(
-                f"weight decomposition exceeded the budget of {budget.max_copies}"
-            )
+        budget.charge("weight decomposition")
         touched = [
-            (emb.mapping[x], good.weights[x])
+            (emb[x], good.weights[x])
             for x in range(good.graph.n)
             if good.weights[x] != 0
         ]
@@ -105,7 +79,7 @@ def decompose_weights(
             raise VerificationError("subtraction scale must be positive")
         for gv, kw in touched:
             weights[gv] -= scale * kw
-        steps.append(TraceStep(gi, emb, scale))
+        steps.append(TraceStep(emb, scale))
         new_zero = sum(1 for w in weights if w == 0)
         if new_zero <= zero_count:
             raise VerificationError("a step must zero at least one vertex")
@@ -117,9 +91,8 @@ def decompose_weights(
     # conservation identity, checked exactly on every run
     recon = list(final)
     for st in steps:
-        good = goods[st.good_index]
         for x in range(good.graph.n):
-            recon[st.embedding.mapping[x]] += st.scale * good.weights[x]
+            recon[st.embedding[x]] += st.scale * good.weights[x]
     if tuple(recon) != g.weights:
         raise VerificationError("weight conservation identity violated")
 

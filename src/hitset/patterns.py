@@ -126,10 +126,7 @@ def rooted_subgraph_contains(
     Returns a tuple ``m`` with ``m[u]`` the image of small-vertex ``u``,
     or None when no such map exists.  ``small`` must be connected.
     """
-    return min(
-        (emb.mapping for emb in embeddings(big, small, root=small_root, root_image=big_root)),
-        default=None,
-    )
+    return min(embeddings(big, small, root=small_root, root_image=big_root), default=None)
 
 
 def _branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:

@@ -25,7 +25,7 @@ from .copies import (
     enumerate_copies,
     find_rooted_copy,
 )
-from .errors import BudgetExceededError, VerificationError
+from .errors import VerificationError
 from .graphs import CopyHypergraph, Digraph, Graph, Pattern, WeightedGraph
 from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
@@ -83,7 +83,7 @@ def solve_semi_symmetric(
     if not verify_goodness(good, h):
         raise VerificationError("constructed gadget failed its goodness certificate")
 
-    trace = decompose_weights(g, [good], budget)
+    trace = decompose_weights(g, good, budget)
     zero_set = trace.zero_set
     positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
     blocked = frozenset(range(g.n)) - positive
@@ -95,7 +95,7 @@ def solve_semi_symmetric(
         emb = find_rooted_copy(g.graph, h.graph, root, u, forbidden=blocked)
         if emb is None:
             continue
-        for w in emb.mapping:
+        for w in emb:
             if w != u:
                 arcs.add((u, w))
     conflict = Digraph(g.n, frozenset(arcs))
@@ -127,7 +127,7 @@ def solve_semi_symmetric(
     return Solution(
         hitting_set=hitting,
         weight=g.total(hitting),
-        lower_bound=trace.dual_bound([good]),
+        lower_bound=trace.dual_bound(good),
         guaranteed_factor=Fraction(2 * k - 1, 2),
         classification=SEMI_SYMMETRIC,
         detail=detail,
@@ -143,12 +143,12 @@ def solve_baseline(
     base_good = GoodGraph(h.graph, (Fraction(1),) * h.k, Fraction(h.k))
     if not verify_goodness(base_good, h, cap=h.k):
         raise VerificationError("unit-weight pattern failed its goodness certificate")
-    trace = decompose_weights(g, [base_good], budget)
+    trace = decompose_weights(g, base_good, budget)
     hitting = tuple(sorted(trace.zero_set))
     return Solution(
         hitting_set=hitting,
         weight=g.total(hitting),
-        lower_bound=trace.dual_bound([base_good]),
+        lower_bound=trace.dual_bound(base_good),
         guaranteed_factor=Fraction(h.k),
         classification="baseline",
         detail=SolveDetail(trace=trace),
@@ -166,12 +166,7 @@ def solve(
     """
     if budget is None:
         budget = EnumerationBudget()
-    copies = enumerate_copies(g.graph, h, budget)
-    if budget.exceeded:
-        raise BudgetExceededError(
-            f"copy enumeration exceeded the budget of {budget.max_copies}"
-        )
-    hyperedges = tuple(vs for vs, _ in copies)
+    hyperedges = tuple(enumerate_copies(g.graph, h, budget))
 
     cls = classify_pattern(h)
     if cls.kind == SEMI_SYMMETRIC:

@@ -109,6 +109,15 @@ def all_trees(n: int) -> list[Graph]:
     return list(seen.values())
 
 
+def is_embedding(g: Graph, h: Graph, mapping: tuple[int, ...]) -> bool:
+    """Check injectivity and edge preservation of a candidate map."""
+    if len(mapping) != h.n or len(set(mapping)) != h.n:
+        return False
+    if any(not 0 <= x < g.n for x in mapping):
+        return False
+    return all(g.has_edge(mapping[u], mapping[v]) for u, v in h.edges)
+
+
 def naive_has_copy(g: Graph, h: Graph, allowed=None) -> bool:
     """Copy detection by trying every injective map; the slow reference."""
     verts = [v for v in range(g.n) if allowed is None or v in allowed]

@@ -18,10 +18,11 @@ from hitset import (
     check_complementary_slackness,
     construct_good_graph,
     cover_colored_hypergraph,
+    decompose_weights,
+    embeddings,
     enumerate_copies,
     exact_min_hitting_set,
     exact_min_vertex_cover,
-    find_positive_copy,
     find_semi_symmetric_cut_vertex,
     gadget_edge_glue,
     gadget_vertex_glue,
@@ -97,7 +98,7 @@ def test_criterion_2_color_cover_bound():
         sol = solve(g, pat)
         detail = sol.detail
         positive = frozenset(detail.residual_vertices)
-        edges = tuple(vs for vs, _ in enumerate_copies(g.graph, pat, allowed=positive))
+        edges = tuple(vs for vs in enumerate_copies(g.graph, pat) if positive.issuperset(vs))
         if not edges:
             continue
         residual_weights = detail.trace.final_weights
@@ -213,8 +214,9 @@ def test_criterion_6_coloring_validity():
             out_degree[u] = out_degree.get(u, 0) + 1
         assert all(c <= pat.k - 1 for c in out_degree.values())
         positive = frozenset(detail.residual_vertices)
-        for vs, _ in enumerate_copies(g.graph, pat, allowed=positive):
-            assert len({colors[v] for v in vs}) >= 2
+        for vs in enumerate_copies(g.graph, pat):
+            if positive.issuperset(vs):
+                assert len({colors[v] for v in vs}) >= 2
         checked += 1
     print(f"criterion 6 (colouring validity): PASS - {checked} pipeline runs re-verified")
 
@@ -229,10 +231,10 @@ def test_criterion_7_decomposition_contract():
         recon = list(trace.final_weights)
         for st in trace.steps:
             for x in range(good.graph.n):
-                recon[st.embedding.mapping[x]] += st.scale * good.weights[x]
+                recon[st.embedding[x]] += st.scale * good.weights[x]
         assert tuple(recon) == g.weights
         residual = WeightedGraph(g.graph, trace.final_weights)
-        assert find_positive_copy(residual, good) is None
+        assert decompose_weights(residual, good).steps == ()
         checked += 1
     print(f"criterion 7 (decomposition contract): PASS - {checked} runs, identities exact")
 
@@ -260,8 +262,7 @@ def test_criterion_8_cloud_generator_structure():
             per_edge[ei] = per_edge.get(ei, 0) + 1
         expected = params.multiplier * params.cloud_size
         assert all(per_edge[ei] == expected for ei in range(len(base_edges)))
-        copies = enumerate_copies(tg.graph, pat)
-        found = {vs for vs, _ in copies}
+        found = set(enumerate_copies(tg.graph, pat))
         planted_sets = {}
         for ei, j, verts in tg.planted:
             assert tuple(sorted(verts)) in found
@@ -270,13 +271,13 @@ def test_criterion_8_cloud_generator_structure():
                 edge = tuple(sorted((verts[p], verts[q])))
                 assert (ei, j) in tg.all_tags[edge]
         # the reverse direction: a copy whose edges share a tag is a planted one
-        for vs, emb in copies:
+        for emb in embeddings(tg.graph, pat.graph):
             edge_tags = []
             for p, q in pat.graph.sorted_edges():
-                edge = tuple(sorted((emb.mapping[p], emb.mapping[q])))
+                edge = tuple(sorted((emb[p], emb[q])))
                 edge_tags.append(set(tg.all_tags[edge]))
             for tag in set.intersection(*edge_tags):
-                assert planted_sets[tag] == vs
+                assert planted_sets[tag] == tuple(sorted(emb))
         again = gl_random_instance(pat, params)
         assert serialize_tagged_graph(tg) == serialize_tagged_graph(again)
     print("criterion 8 (cloud generator): PASS - 50 seeded instances, byte-identical reruns")

@@ -7,6 +7,7 @@ from hitset.cli import main, parse_solution_document
 K3_TEXT = "p 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 P3_TEXT = "p 3 2\ne 0 1\ne 1 2\n"
 P5_TEXT = "p 5 4\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
+STAR4_TEXT = "p 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n"
 
 
 @pytest.fixture
@@ -161,3 +162,78 @@ def test_budget_exit_code(files, capsys, tmp_path):
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", tmp_path / "missing.graph")
     assert code == 2
+
+
+STAR4_P3_EXPLAIN = """\
+classification: semi-symmetric
+guaranteed_factor: 5/2
+lower_bound: 1
+vertices: 0
+weight: 1
+# subtraction step 1: gadget 0 scale 1 image 0->1 1->0 2->2 3->3
+# zero set: 0
+# residual vertices: 1 2 3 4
+# colouring (palette 6): 0:0 1:0 2:0 3:0 4:0
+"""
+
+SEEDED_P3_EXPLAIN = """\
+classification: semi-symmetric
+guaranteed_factor: 5/2
+lower_bound: 8/3
+vertices: 3 4 6
+weight: 3
+# subtraction step 1: gadget 0 scale 1 image 0->0 1->3 2->4 3->5
+# zero set: 3
+# residual vertices: 0 1 2 4 5 6 7
+# colouring (palette 6): 0:0 1:1 2:2 3:0 4:0 5:0 6:1 7:0
+# conflict arcs: 1->4 1->7 2->4 2->6 4->1 4->2 6->2 6->7 7->1 7->6
+# cover step 1: zero-support at 1: select 4 from edge 1,2,4
+# cover step 2: zero-support at 1: select 6 from edge 1,6,7
+"""
+
+
+@pytest.fixture
+def star(tmp_path):
+    path = tmp_path / "star.graph"
+    path.write_text(STAR4_TEXT)
+    return path
+
+
+def test_solve_explain_golden_star(files, star, capsys):
+    _, _, p3, _ = files
+    assert run(capsys, "solve", star, p3, "--explain") == (0, STAR4_P3_EXPLAIN, "")
+
+
+def test_solve_explain_golden_seeded_host(files, capsys, tmp_path):
+    _, _, p3, _ = files
+    code, text, _ = run(capsys, "gen", "random", "--n", "8", "--p", "0.4", "--seed", "1")
+    assert code == 0
+    host = tmp_path / "seeded.graph"
+    host.write_text(text)
+    assert run(capsys, "solve", host, p3, "--explain") == (0, SEEDED_P3_EXPLAIN, "")
+
+
+@pytest.mark.parametrize(
+    "budget, phase",
+    [(1, "copy enumeration"), (6, "weight decomposition")],
+)
+def test_solve_budget_messages(files, star, capsys, budget, phase):
+    # P3 has six copies in the star; one subtraction step follows them
+    _, _, p3, _ = files
+    code, out, err = run(capsys, "solve", star, p3, "--budget", budget)
+    assert (code, out) == (3, "")
+    assert err == f"error: {phase} exceeded the budget of {budget}\n"
+
+
+def test_solve_budget_just_enough(files, star, capsys):
+    _, _, p3, _ = files
+    code, out, err = run(capsys, "solve", star, p3, "--budget", 7)
+    assert (code, err) == (0, "")
+    assert "vertices: 0" in out
+
+
+def test_exact_budget_message(files, star, capsys):
+    _, _, p3, _ = files
+    code, out, err = run(capsys, "exact", star, p3, "--budget", 1)
+    assert (code, out) == (3, "")
+    assert err == "error: copy enumeration exceeded the budget of 1\n"

@@ -1,4 +1,8 @@
+import random
+
+import networkx as nx
 import pytest
+from networkx.algorithms.isomorphism import GraphMatcher
 
 from hitset import (
     BudgetExceededError,
@@ -9,12 +13,12 @@ from hitset import (
     embeddings,
     enumerate_copies,
     find_rooted_copy,
-    is_embedding,
     unit_weights,
 )
 from helpers import (
     complete_graph,
     cycle_graph,
+    is_embedding,
     naive_copy_sets,
     path_graph,
     star_graph,
@@ -26,17 +30,16 @@ K3 = Pattern(complete_graph(3))
 
 
 def test_p3_in_k3():
-    copies = enumerate_copies(complete_graph(3), P3)
-    assert [vs for vs, _ in copies] == [(0, 1, 2)]
-    vs, emb = copies[0]
-    assert is_embedding(complete_graph(3), P3.graph, emb.mapping)
+    assert enumerate_copies(complete_graph(3), P3) == [(0, 1, 2)]
     # six injective maps are all valid here, one distinct vertex set
-    assert sum(1 for _ in embeddings(complete_graph(3), P3.graph)) == 6
+    maps = list(embeddings(complete_graph(3), P3.graph))
+    assert len(maps) == 6
+    assert all(is_embedding(complete_graph(3), P3.graph, emb) for emb in maps)
 
 
 def test_k3_in_k4():
     copies = enumerate_copies(complete_graph(4), K3)
-    assert [vs for vs, _ in copies] == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+    assert copies == [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
 
 
 def test_pattern_bigger_than_host():
@@ -51,11 +54,13 @@ def test_pattern_bigger_than_host():
 def test_completeness_against_naive(pattern, n, seed):
     g = random_graph(n, 0.45, seed)
     expected = naive_copy_sets(g, pattern.graph)
-    got = {vs for vs, _ in enumerate_copies(g, pattern)}
-    assert got == expected
-    for vs, emb in enumerate_copies(g, pattern):
-        assert is_embedding(g, pattern.graph, emb.mapping)
-        assert emb.vertex_set() == vs
+    got = enumerate_copies(g, pattern)
+    assert got == sorted(expected)
+    images = set()
+    for emb in embeddings(g, pattern.graph):
+        assert is_embedding(g, pattern.graph, emb)
+        images.add(tuple(sorted(emb)))
+    assert images == expected
 
 
 def test_hyperedges_have_pattern_size():
@@ -122,9 +127,9 @@ def test_find_rooted_copy_forbidden_neighbors():
 
 def test_budget_flag_and_partial():
     budget = EnumerationBudget(max_copies=2)
-    copies = enumerate_copies(complete_graph(4), K3, budget)
-    assert budget.exceeded
-    assert len(copies) == 2
+    with pytest.raises(BudgetExceededError, match="^copy enumeration exceeded the budget of 2$"):
+        enumerate_copies(complete_graph(4), K3, budget)
+    assert budget.used == 2
 
 
 def test_budget_error_in_hypergraph():
@@ -144,5 +149,68 @@ def test_deterministic():
 def test_allowed_restriction():
     g = complete_graph(4)
     allowed = frozenset({0, 1, 2})
-    copies = enumerate_copies(g, K3, allowed=allowed)
-    assert [vs for vs, _ in copies] == [(0, 1, 2)]
+    copies = [vs for vs in enumerate_copies(g, K3) if allowed.issuperset(vs)]
+    assert copies == [(0, 1, 2)]
+    images = {tuple(sorted(emb)) for emb in embeddings(g, K3.graph, allowed=allowed)}
+    assert images == {(0, 1, 2)}
+
+
+DIFFERENTIAL_PATTERNS = {
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "K1,3": star_graph(3),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+}
+
+
+def _nx(g: Graph) -> nx.Graph:
+    out = nx.Graph()
+    out.add_nodes_from(range(g.n))
+    out.add_edges_from(g.edges)
+    return out
+
+
+def _vf2_maps(g: Graph, h: Graph, allowed=None) -> set[tuple[int, ...]]:
+    """VF2 monomorphisms of ``h`` into ``g``, as tuples indexed by pattern vertex."""
+    host = _nx(g) if allowed is None else _nx(g).subgraph(allowed)
+    maps = set()
+    for m in GraphMatcher(host, _nx(h)).subgraph_monomorphisms_iter():
+        inverse = {hv: gv for gv, hv in m.items()}
+        maps.add(tuple(inverse[x] for x in range(h.n)))
+    return maps
+
+
+def _differential_hosts():
+    for seed in range(4):
+        yield random_graph(6 + seed, 0.5, 9100 + seed), random.Random(seed)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PATTERNS))
+def test_embeddings_match_networkx(name):
+    h = DIFFERENTIAL_PATTERNS[name]
+    for g, _ in _differential_hosts():
+        got = list(embeddings(g, h))
+        assert len(got) == len(set(got))
+        assert set(got) == _vf2_maps(g, h)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PATTERNS))
+def test_embeddings_allowed_match_networkx(name):
+    h = DIFFERENTIAL_PATTERNS[name]
+    for g, rng in _differential_hosts():
+        allowed = frozenset(rng.sample(range(g.n), g.n - 2))
+        got = set(embeddings(g, h, allowed=allowed))
+        assert got == _vf2_maps(g, h, allowed)
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PATTERNS))
+def test_embeddings_rooted_match_networkx(name):
+    h = DIFFERENTIAL_PATTERNS[name]
+    for g, _ in _differential_hosts():
+        every = _vf2_maps(g, h)
+        for root in range(h.n):
+            for image in range(g.n):
+                got = set(embeddings(g, h, root=root, root_image=image))
+                assert got == {m for m in every if m[root] == image}

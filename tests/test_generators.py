@@ -80,7 +80,7 @@ def test_gl_counts_and_tags():
     tg = gl_random_instance(K3, params)
     assert tg.graph.n == 3 * 2
     assert len(tg.planted) == 1 * 2  # multiplier * cloud size per hyperedge
-    found = {vs for vs, _ in enumerate_copies(tg.graph, K3)}
+    found = set(enumerate_copies(tg.graph, K3))
     for ei, j, verts in tg.planted:
         assert tuple(sorted(verts)) in found
         for p, q in K3.graph.sorted_edges():

@@ -13,7 +13,6 @@ from hitset import (
     construct_good_graph,
     decompose_weights,
     embeddings,
-    find_positive_copy,
     find_semi_symmetric_cut_vertex,
     unit_weights,
     verify_solution,
@@ -30,7 +29,7 @@ def p3_gadget() -> GoodGraph:
 
 def test_no_copy_no_steps():
     g = unit_weights(complete_graph(3))  # gadget needs a degree-3 vertex
-    trace = decompose_weights(g, [p3_gadget()])
+    trace = decompose_weights(g, p3_gadget())
     assert trace.steps == ()
     assert trace.final_weights == g.weights
     assert trace.zero_set == frozenset()
@@ -38,7 +37,7 @@ def test_no_copy_no_steps():
 
 def test_claw_host_single_step():
     g = unit_weights(star_graph(3))
-    trace = decompose_weights(g, [p3_gadget()])
+    trace = decompose_weights(g, p3_gadget())
     assert len(trace.steps) == 1
     assert trace.steps[0].scale == 1
     assert trace.final_weights == (
@@ -50,13 +49,12 @@ def test_claw_host_single_step():
 @pytest.mark.parametrize("seed", range(6))
 def test_conservation_identity(seed):
     g = unit_weights(random_graph(9, 0.5, 600 + seed))
-    goods = [p3_gadget()]
-    trace = decompose_weights(g, goods)
+    good = p3_gadget()
+    trace = decompose_weights(g, good)
     recon = list(trace.final_weights)
     for st in trace.steps:
-        good = goods[st.good_index]
         for x in range(good.graph.n):
-            recon[st.embedding.mapping[x]] += st.scale * good.weights[x]
+            recon[st.embedding[x]] += st.scale * good.weights[x]
     assert tuple(recon) == g.weights
     assert len(trace.steps) <= g.n
 
@@ -65,22 +63,22 @@ def test_conservation_identity(seed):
 def test_residual_is_gadget_free(seed):
     g = unit_weights(random_graph(9, 0.5, 700 + seed))
     good = p3_gadget()
-    trace = decompose_weights(g, [good])
+    trace = decompose_weights(g, good)
     residual = WeightedGraph(g.graph, trace.final_weights)
-    assert find_positive_copy(residual, good) is None
+    assert decompose_weights(residual, good).steps == ()
     positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
     assert not any(True for _ in embeddings(g.graph, good.graph, allowed=positive))
 
 
 def test_steps_zero_vertices_monotonically():
     g = unit_weights(random_graph(10, 0.5, 44))
-    trace = decompose_weights(g, [p3_gadget()])
+    trace = decompose_weights(g, p3_gadget())
     weights = list(g.weights)
     zeroes = 0
     for st in trace.steps:
         good = p3_gadget()
         for x in range(good.graph.n):
-            weights[st.embedding.mapping[x]] -= st.scale * good.weights[x]
+            weights[st.embedding[x]] -= st.scale * good.weights[x]
         assert all(w >= 0 for w in weights)
         new_zeroes = sum(1 for w in weights if w == 0)
         assert new_zeroes > zeroes
@@ -91,11 +89,11 @@ def test_goodness_transfer_bound():
     # every hitting set pays at least scale * total / factor inside each copy
     g = unit_weights(star_graph(3))
     good = p3_gadget()
-    trace = decompose_weights(g, [good])
+    trace = decompose_weights(g, good)
     assert len(trace.steps) == 1
     st = trace.steps[0]
-    image = set(st.embedding.mapping)
-    inverse = {st.embedding.mapping[x]: x for x in range(good.graph.n)}
+    image = set(st.embedding)
+    inverse = {st.embedding[x]: x for x in range(good.graph.n)}
     floor = st.scale * good.total_weight / good.factor
     for r in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), r):
@@ -112,52 +110,48 @@ def test_zero_weight_inputs_enter_zero_set():
     g = WeightedGraph(
         star_graph(3), (Fraction(1), Fraction(0), Fraction(1), Fraction(1))
     )
-    trace = decompose_weights(g, [p3_gadget()])
+    trace = decompose_weights(g, p3_gadget())
     assert 1 in trace.zero_set
     # vertex 1 has weight zero, so no gadget copy can use it
-    assert all(1 not in st.embedding.mapping for st in trace.steps)
+    assert all(1 not in st.embedding for st in trace.steps)
 
 
 def test_budget_exhaustion():
     g = unit_weights(star_graph(3))
     with pytest.raises(BudgetExceededError):
-        decompose_weights(g, [p3_gadget()], EnumerationBudget(max_copies=0))
+        decompose_weights(g, p3_gadget(), EnumerationBudget(max_copies=0))
 
 
 def test_find_positive_copy_identity():
+    # the gadget embeds in itself, so the first step covers every host vertex
     good = p3_gadget()
     host = WeightedGraph(good.graph, (Fraction(1),) * good.graph.n)
-    emb = find_positive_copy(host, good)
-    assert emb is not None
+    steps = decompose_weights(host, good).steps
+    assert steps
+    assert sorted(steps[0].embedding) == list(range(good.graph.n))
 
 
 def test_find_positive_copy_blocked_by_zero():
     tri = GoodGraph(complete_graph(3), (Fraction(1),) * 3, Fraction(3))
     host = WeightedGraph(complete_graph(3), (Fraction(1), Fraction(1), Fraction(0)))
-    assert find_positive_copy(host, tri) is None
+    assert decompose_weights(host, tri).steps == ()
 
 
 def test_find_positive_copy_host_too_small():
     good = p3_gadget()
     host = unit_weights(Graph(2, [(0, 1)]))
-    assert find_positive_copy(host, good) is None
-
-
-def test_empty_goods_rejected():
-    with pytest.raises(ValueError):
-        decompose_weights(unit_weights(Graph(2, [(0, 1)])), [])
+    assert decompose_weights(host, good).steps == ()
 
 
 def test_multiple_goods_scanned_in_order():
-    # gadget first, bare pattern second: gadget-free hosts still shrink
-    gadget = p3_gadget()
+    # the bare pattern as the gadget: claw-free hosts still shrink
     bare = GoodGraph(P3.graph, (Fraction(1),) * 3, Fraction(3))
     g = unit_weights(path_graph(4))  # no claw, but paths of three exist
-    trace = decompose_weights(g, [gadget, bare])
+    assert decompose_weights(g, p3_gadget()).steps == ()
+    trace = decompose_weights(g, bare)
     assert trace.steps
-    assert all(st.good_index == 1 for st in trace.steps)
     positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
     assert not any(True for _ in embeddings(g.graph, P3.graph, allowed=positive))
-    assert trace.dual_bound([gadget, bare]) == sum(
+    assert trace.dual_bound(bare) == sum(
         (st.scale for st in trace.steps), Fraction(0)
     )
