@@ -59,14 +59,13 @@ from .oracle import (
     verify_goodness,
 )
 from .patterns import (
-    BlockCutTree,
     GoodGraph,
     PatternClass,
     RootedDecomposition,
     SEMI_SYMMETRIC,
     TWO_CONNECTED,
     UNKNOWN,
-    block_cut_tree,
+    branches_at,
     classify_pattern,
     construct_good_graph,
     find_semi_symmetric_cut_vertex,

@@ -65,13 +65,11 @@ def embeddings(
     root: int | None = None,
     root_image: int | None = None,
     allowed: frozenset[int] | None = None,
-    forbidden: frozenset[int] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield embeddings of ``h`` into ``g`` in deterministic order.
 
     ``root``/``root_image`` pin one pattern vertex to one host vertex.
-    ``allowed`` restricts all images; ``forbidden`` blocks images of the
-    non-root pattern vertices only.
+    ``allowed`` restricts all images.
     """
     if h.n == 0 or h.n > g.n:
         return
@@ -107,13 +105,10 @@ def embeddings(
             )
         else:
             base = g_adj[image[anchors[idx]]]
-        skip_forbidden = forbidden if not (idx == 0 and root is not None) else None
         for c in base:
             if c in used:
                 continue
             if allowed is not None and c not in allowed:
-                continue
-            if skip_forbidden is not None and c in skip_forbidden:
                 continue
             if len(g_adj[c]) < h_deg[hv]:
                 continue
@@ -152,15 +147,12 @@ def find_rooted_copy(
     f: Graph,
     f_root: int,
     at: int,
-    forbidden: frozenset[int] = frozenset(),
+    allowed: frozenset[int] | None = None,
 ) -> tuple[int, ...] | None:
-    """First embedding of ``f`` mapping its root to ``at``.
-
-    Non-root vertices avoid ``forbidden``; the root image is exempt.
-    """
+    """First embedding of ``f`` mapping its root to ``at``, images in ``allowed``."""
     if not 0 <= at < g.n:
         return None
-    return next(embeddings(g, f, root=f_root, root_image=at, forbidden=forbidden), None)
+    return next(embeddings(g, f, root=f_root, root_image=at, allowed=allowed), None)
 
 
 def build_copy_hypergraph(

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graphs import Edge, Graph, Pattern, normalize_edge, serialize_graph, unit_weights
-from .patterns import block_cut_tree
+from .patterns import branches_at
 
 
 def _rng(seed: int, *spawn_key: int) -> np.random.Generator:
@@ -43,12 +43,15 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
 
 
 def _glue_edge(h: Pattern) -> Edge:
-    """Edge of a leaf block with neither endpoint a cut vertex."""
-    bct = block_cut_tree(h.graph)
-    cuts = set(bct.cut_vertices)
-    for block, block_cuts in zip(bct.blocks, bct.block_cuts):
-        if len(block_cuts) > 1:
-            continue
+    """Edge of a leaf block with neither endpoint a cut vertex.
+
+    A leaf block is a branch at a cut vertex v that holds no other cut
+    vertex; a pattern without cut vertices is one block.
+    """
+    branches = [branches_at(h.graph, v) for v in range(h.k)]
+    cuts = {v for v in range(h.k) if len(branches[v]) > 1}
+    leaves = sorted(b for v in cuts for b in branches[v] if len(cuts.intersection(b)) == 1)
+    for block in leaves or [tuple(range(h.k))]:
         members = set(block)
         for u, v in h.graph.sorted_edges():
             if u in members and v in members and u not in cuts and v not in cuts:

@@ -198,9 +198,9 @@ def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     return best[0]
 
 
-def verify_goodness(good: GoodGraph, h: Pattern, *, cap: int = DEFAULT_CAP) -> bool:
+def verify_goodness(good: GoodGraph, h: Pattern) -> bool:
     """Exhaustively check that every hitting set of the gadget carries at
     least total_weight / factor of its weight."""
     wg = WeightedGraph(good.graph, good.weights)
-    _, weight = exact_min_hitting_set(wg, h, cap=max(cap, good.graph.n))
+    _, weight = exact_min_hitting_set(wg, h, cap=good.graph.n)
     return weight >= good.total_weight / good.factor

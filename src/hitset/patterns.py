@@ -10,6 +10,7 @@ which is what the local-ratio phase needs.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,84 +22,11 @@ TWO_CONNECTED = "two-connected"
 UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class BlockCutTree:
-    """Maximal 2-connected blocks, articulation points, and their incidence."""
-
-    blocks: tuple[tuple[int, ...], ...]
-    cut_vertices: tuple[int, ...]
-    block_cuts: tuple[tuple[int, ...], ...]
-
-
-def block_cut_tree(h: Graph) -> BlockCutTree:
-    """Blocks and articulation points of a connected graph (iterative DFS)."""
-    if not h.is_connected():
-        raise ValueError("block decomposition needs a connected graph")
-    if h.n == 0:
-        return BlockCutTree((), (), ())
-    if h.m == 0:
-        return BlockCutTree(((0,),), (), ((),))
-
-    adj = h.adjacency()
-    n = h.n
-    disc = [-1] * n
-    low = [0] * n
-    parent = [-1] * n
-    nxt = [0] * n
-    edge_stack: list[tuple[int, int]] = []
-    raw_blocks: list[set[int]] = []
-    cuts: set[int] = set()
-
-    disc[0] = low[0] = 0
-    clock = 1
-    stack = [0]
-    root_children = 0
-    while stack:
-        u = stack[-1]
-        if nxt[u] < len(adj[u]):
-            v = adj[u][nxt[u]]
-            nxt[u] += 1
-            if disc[v] == -1:
-                parent[v] = u
-                disc[v] = low[v] = clock
-                clock += 1
-                edge_stack.append((u, v))
-                stack.append(v)
-                if u == 0:
-                    root_children += 1
-            elif v != parent[u] and disc[v] < disc[u]:
-                edge_stack.append((u, v))
-                low[u] = min(low[u], disc[v])
-        else:
-            stack.pop()
-            p = parent[u]
-            if p == -1:
-                continue
-            low[p] = min(low[p], low[u])
-            if low[u] >= disc[p]:
-                comp: set[int] = set()
-                while True:
-                    e = edge_stack.pop()
-                    comp.update(e)
-                    if e == (p, u):
-                        break
-                raw_blocks.append(comp)
-                if p != 0:
-                    cuts.add(p)
-    if root_children >= 2:
-        cuts.add(0)
-
-    blocks = tuple(sorted(tuple(sorted(b)) for b in raw_blocks))
-    cut_list = tuple(sorted(cuts))
-    block_cuts = tuple(tuple(v for v in b if v in cuts) for b in blocks)
-    return BlockCutTree(blocks, cut_list, block_cuts)
-
-
 def is_two_connected(h: Graph) -> bool:
     """True iff h has >= 3 vertices, is connected and has no cut vertex."""
     if h.n < 3 or not h.is_connected():
         return False
-    return not block_cut_tree(h).cut_vertices
+    return all(len(branches_at(h, v)) == 1 for v in range(h.n))
 
 
 @dataclass(frozen=True)
@@ -129,8 +57,11 @@ def rooted_subgraph_contains(
     return min(embeddings(big, small, root=small_root, root_image=big_root), default=None)
 
 
-def _branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:
-    """Components of h - v, each with v re-attached, in canonical order."""
+def branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:
+    """Components of h - v, each with v re-attached, in canonical order.
+
+    In a connected graph, v is a cut vertex iff it has two or more branches.
+    """
     adj = h.adjacency()
     seen = {v}
     comps: list[tuple[int, ...]] = []
@@ -172,17 +103,13 @@ def find_semi_symmetric_cut_vertex(p: Pattern) -> RootedDecomposition | None:
     containment.
     """
     h = p.graph
-    for v in block_cut_tree(h).cut_vertices:
-        branches = _branches_at(h, v)
-        r = len(branches)
-        assert r >= 2, "a cut vertex always splits off at least two branches"
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                emb = _branch_embedding(h, branches[i], branches[j], v)
-                if emb is not None:
-                    return RootedDecomposition(v, branches, i, j, emb)
+    for v in range(h.n):
+        branches = branches_at(h, v)
+        # a vertex that is not a cut vertex has one branch and so no pair
+        for i, j in itertools.permutations(range(len(branches)), 2):
+            emb = _branch_embedding(h, branches[i], branches[j], v)
+            if emb is not None:
+                return RootedDecomposition(v, branches, i, j, emb)
     return None
 
 

@@ -86,13 +86,12 @@ def solve_semi_symmetric(
     trace = decompose_weights(g, good, budget)
     zero_set = trace.zero_set
     positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
-    blocked = frozenset(range(g.n)) - positive
 
     # one chosen copy per central vertex; its other vertices become arcs
     root = decomposition.root
     arcs: set[tuple[int, int]] = set()
     for u in sorted(positive):
-        emb = find_rooted_copy(g.graph, h.graph, root, u, forbidden=blocked)
+        emb = find_rooted_copy(g.graph, h.graph, root, u, allowed=positive)
         if emb is None:
             continue
         for w in emb:
@@ -141,7 +140,7 @@ def solve_baseline(
     if budget is None:
         budget = EnumerationBudget()
     base_good = GoodGraph(h.graph, (Fraction(1),) * h.k, Fraction(h.k))
-    if not verify_goodness(base_good, h, cap=h.k):
+    if not verify_goodness(base_good, h):
         raise VerificationError("unit-weight pattern failed its goodness certificate")
     trace = decompose_weights(g, base_good, budget)
     hitting = tuple(sorted(trace.zero_set))

@@ -2,12 +2,16 @@ from fractions import Fraction
 
 import pytest
 
+from hitset import serialize_graph, unit_weights
 from hitset.cli import main, parse_solution_document
+from helpers import hub_branches_pattern
 
 K3_TEXT = "p 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 P3_TEXT = "p 3 2\ne 0 1\ne 1 2\n"
 P5_TEXT = "p 5 4\ne 0 1\ne 1 2\ne 2 3\ne 3 4\n"
 STAR4_TEXT = "p 5 4\ne 0 1\ne 0 2\ne 0 3\ne 0 4\n"
+K2_TEXT = "p 2 1\ne 0 1\n"
+BOWTIE_TEXT = "p 5 6\ne 0 1\ne 0 2\ne 1 2\ne 2 3\ne 2 4\ne 3 4\n"
 
 
 @pytest.fixture
@@ -164,6 +168,12 @@ def test_missing_file_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+def test_value_error_exit_code(capsys):
+    code, out, err = run(capsys, "gen", "random", "--n", "3", "--p", "2")
+    assert (code, out) == (2, "")
+    assert err == "error: edge probability must lie in [0, 1]\n"
+
+
 STAR4_P3_EXPLAIN = """\
 classification: semi-symmetric
 guaranteed_factor: 5/2
@@ -237,3 +247,74 @@ def test_exact_budget_message(files, star, capsys):
     code, out, err = run(capsys, "exact", star, p3, "--budget", 1)
     assert (code, out) == (3, "")
     assert err == "error: copy enumeration exceeded the budget of 1\n"
+
+
+BOWTIE_ON_K2 = """\
+p 5 6
+e 0 1
+e 0 2
+e 1 2
+e 2 3
+e 2 4
+e 3 4
+# provenance
+# v 2 0 1 2
+# v 3 0 1 3
+# v 4 0 1 4
+"""
+
+HUB_ANALYSIS = """\
+classification: semi-symmetric
+guaranteed_factor: 17/2
+k: 9
+root: 2
+# branch 0: 0 1 2
+# branch 1: 2 3 4 5
+# branch 2: 2 6 7 8
+# witness: branch 0 into branch 1 via 0->3 1->5 2->2
+# gadget factor: 8
+# gadget total weight: 8
+# gadget graph:
+# p 12 17
+# e 0 1
+# e 0 2
+# e 1 2
+# e 2 3
+# e 2 5
+# e 2 6
+# e 2 7
+# e 2 9
+# e 2 11
+# e 3 4
+# e 3 5
+# e 4 5
+# e 6 8
+# e 7 8
+# e 9 10
+# e 9 11
+# e 10 11
+# w 0 1/2
+# w 1 1/2
+# w 3 1/2
+# w 4 1/2
+# w 5 1/2
+# w 9 1/2
+# w 10 1/2
+# w 11 1/2
+"""
+
+
+def test_gen_edge_gadget_golden_bowtie(capsys, tmp_path):
+    # the glued edge 0-1 lies in the leaf block {0, 1, 2}, away from cut vertex 2
+    base = tmp_path / "k2.graph"
+    base.write_text(K2_TEXT)
+    bowtie = tmp_path / "bowtie.graph"
+    bowtie.write_text(BOWTIE_TEXT)
+    args = ("gen", "vc-edge-gadget", "--base", base, "--pattern", bowtie)
+    assert run(capsys, *args) == (0, BOWTIE_ON_K2, "")
+
+
+def test_analyze_golden_hub_pattern(capsys, tmp_path):
+    hub = tmp_path / "hub.graph"
+    hub.write_text(serialize_graph(unit_weights(hub_branches_pattern().graph)))
+    assert run(capsys, "analyze", hub) == (0, HUB_ANALYSIS, "")

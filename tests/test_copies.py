@@ -119,9 +119,9 @@ def test_find_rooted_copy_triangle_free():
 
 def test_find_rooted_copy_forbidden_neighbors():
     g = star_graph(4)
-    forbidden = frozenset(range(1, 5))  # every neighbour of the hub
+    allowed = frozenset(range(g.n)) - frozenset(range(1, 5))  # no neighbour of the hub
     edge = Graph(2, [(0, 1)])
-    assert find_rooted_copy(g, edge, 0, 0, forbidden=forbidden) is None
+    assert find_rooted_copy(g, edge, 0, 0, allowed=allowed) is None
     assert find_rooted_copy(g, edge, 0, 0) is not None
 
 

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import networkx as nx
 import pytest
 
 from hitset import (
@@ -9,7 +10,7 @@ from hitset import (
     SEMI_SYMMETRIC,
     TWO_CONNECTED,
     UNKNOWN,
-    block_cut_tree,
+    branches_at,
     classify_pattern,
     construct_good_graph,
     find_semi_symmetric_cut_vertex,
@@ -19,6 +20,7 @@ from hitset import (
     rooted_subgraph_contains,
     verify_goodness,
 )
+from hitset.generators import _glue_edge
 from helpers import (
     all_trees,
     complete_graph,
@@ -30,51 +32,77 @@ from helpers import (
 )
 
 
+def _cut_vertices(g: Graph) -> tuple[int, ...]:
+    return tuple(v for v in range(g.n) if len(branches_at(g, v)) >= 2)
+
+
 def test_blocks_triangle():
-    bct = block_cut_tree(complete_graph(3))
-    assert bct.blocks == ((0, 1, 2),)
-    assert bct.cut_vertices == ()
+    g = complete_graph(3)
+    assert all(branches_at(g, v) == ((0, 1, 2),) for v in range(3))
+    assert _cut_vertices(g) == ()
 
 
 def test_blocks_bowtie():
     g = Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)])
-    bct = block_cut_tree(g)
-    assert bct.blocks == ((0, 1, 2), (2, 3, 4))
-    assert bct.cut_vertices == (2,)
-    assert bct.block_cuts == ((2,), (2,))
+    assert branches_at(g, 2) == ((0, 1, 2), (2, 3, 4))
+    assert _cut_vertices(g) == (2,)
 
 
 def test_blocks_path():
-    bct = block_cut_tree(path_graph(4))
-    assert bct.blocks == ((0, 1), (1, 2), (2, 3))
-    assert bct.cut_vertices == (1, 2)
+    g = path_graph(4)
+    assert branches_at(g, 1) == ((0, 1), (1, 2, 3))
+    assert branches_at(g, 2) == ((0, 1, 2), (2, 3))
+    assert _cut_vertices(g) == (1, 2)
 
 
 def test_blocks_disconnected_rejected():
+    g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
-        block_cut_tree(Graph(4, [(0, 1), (2, 3)]))
+        Pattern(g)
+    assert not is_two_connected(g)
 
 
 def test_blocks_cover_edges_exactly_once():
     g = hub_branches_pattern().graph
-    bct = block_cut_tree(g)
-    count = {e: 0 for e in g.edges}
-    for block in bct.blocks:
-        members = set(block)
-        for e in g.edges:
-            if e[0] in members and e[1] in members:
-                count[e] += 1
-    assert all(c == 1 for c in count.values())
+    for v in range(g.n):
+        for u, w in g.edges:
+            assert sum(u in b and w in b for b in branches_at(g, v)) == 1
 
 
 def test_blocks_relabel_invariant():
     g = hub_branches_pattern().graph
     perm = [3, 7, 0, 8, 2, 5, 1, 6, 4]
     relabeled = Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
-    a = block_cut_tree(g)
-    b = block_cut_tree(relabeled)
-    assert sorted(len(x) for x in a.blocks) == sorted(len(x) for x in b.blocks)
-    assert len(a.cut_vertices) == len(b.cut_vertices)
+
+    def sizes(x):
+        return sorted(len(b) for v in range(x.n) for b in branches_at(x, v))
+
+    assert sizes(g) == sizes(relabeled)
+    assert len(_cut_vertices(g)) == len(_cut_vertices(relabeled))
+
+
+def test_cut_structure_matches_networkx():
+    atlas = [
+        x for x in nx.graph_atlas_g() if 2 <= x.number_of_nodes() <= 7 and nx.is_connected(x)
+    ]
+    assert len(atlas) == 995
+    # a square 0-1-2-3 between two triangles: the first branch in sorted
+    # order holds the free edge 0-1 of the square, which is no leaf block
+    dumbbell = nx.Graph(
+        [(0, 1), (1, 2), (2, 3), (3, 0), (2, 4), (2, 5), (4, 5), (3, 6), (3, 7), (6, 7)]
+    )
+    for x in atlas + [dumbbell]:
+        g = Graph(x.number_of_nodes(), list(x.edges()))
+        articulation = set(nx.articulation_points(x))
+        assert _cut_vertices(g) == tuple(sorted(articulation))
+        if g.n >= 3:
+            assert is_two_connected(g) == nx.is_biconnected(x)
+        if min(d for _, d in x.degree()) >= 2:
+            u, v = _glue_edge(Pattern(g))
+            blocks = [b for b in nx.biconnected_components(x) if u in b and v in b]
+            assert len(blocks) == 1
+            assert len(blocks[0] & articulation) <= 1
+            assert u not in articulation and v not in articulation
 
 
 def test_is_two_connected():
@@ -150,17 +178,10 @@ def _least_rooted_map(small: Graph, small_root: int, big: Graph, big_root: int):
 
 def _tree_branches(t: Graph) -> set[tuple[Graph, int]]:
     """Every branch of a tree at each cut vertex, relabelled, with its root."""
-    adj = t.adjacency()
     out = set()
-    for v in block_cut_tree(t).cut_vertices:
-        for u in adj[v]:
-            comp, stack = {v, u}, [u]
-            while stack:
-                for x in adj[stack.pop()]:
-                    if x not in comp:
-                        comp.add(x)
-                        stack.append(x)
-            sub, ids = induced_subgraph(t, comp)
+    for v in _cut_vertices(t):
+        for branch in branches_at(t, v):
+            sub, ids = induced_subgraph(t, branch)
             out.add((sub, ids.index(v)))
     return out
 

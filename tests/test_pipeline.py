@@ -158,14 +158,13 @@ def test_residual_copies_bichromatic_and_spokes_blocked(seed):
 
     branch_graph, branch_ids = induced_subgraph(P3.graph, big)
     branch_root = branch_ids.index(d.root)
-    blocked = frozenset(range(g.n)) - positive
     for u in sorted(positive):
-        emb = find_rooted_copy(g.graph, P3.graph, d.root, u, forbidden=blocked)
+        emb = find_rooted_copy(g.graph, P3.graph, d.root, u, allowed=positive)
         if emb is None:
             continue
         spokes = frozenset(emb) - {u}
         assert (
-            find_rooted_copy(g.graph, branch_graph, branch_root, u, forbidden=blocked | spokes)
+            find_rooted_copy(g.graph, branch_graph, branch_root, u, allowed=positive - spokes)
             is None
         )
 
