@@ -75,9 +75,9 @@ from .patterns import (
 from .pipeline import (
     Solution,
     SolveDetail,
+    guaranteed_factor,
     solve,
     solve_baseline,
-    solve_semi_symmetric,
     verify_solution,
 )
 

@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from pathlib import Path
 
-from .copies import DEFAULT_MAX_COPIES, EnumerationBudget, build_copy_hypergraph
+from .copies import DEFAULT_MAX_COPIES, EnumerationBudget, enumerate_copies
 from .errors import (
     BudgetExceededError,
     InvalidColoringError,
@@ -34,7 +33,6 @@ from .generators import (
     serialize_tagged_graph,
 )
 from .graphs import Pattern, WeightedGraph, parse_graph, serialize_graph, unit_weights
-from .lp import solve_cover_lp
 from .oracle import (
     DEFAULT_CAP,
     exact_min_hitting_set,
@@ -42,7 +40,7 @@ from .oracle import (
     min_weight_cover,
 )
 from .patterns import classify_pattern, construct_good_graph
-from .pipeline import Solution, solve, solve_baseline, verify_solution
+from .pipeline import Solution, guaranteed_factor, solve, solve_baseline, verify_solution
 
 
 def _read_text(path: str) -> str:
@@ -68,15 +66,12 @@ def solution_document(sol: Solution, explain: bool = False) -> str:
     if sol.warning is not None:
         rows["warning"] = sol.warning
     lines = [f"{key}: {rows[key]}" for key in sorted(rows)]
-    if explain and sol.detail is not None:
+    if explain:
         d = sol.detail
-        if d.trace is not None:
-            for num, st in enumerate(d.trace.steps, start=1):
-                image = " ".join(f"{x}->{y}" for x, y in enumerate(st.embedding))
-                lines.append(f"# subtraction step {num}: gadget 0 scale {st.scale} image {image}")
-            lines.append(
-                "# zero set: " + " ".join(map(str, sorted(d.trace.zero_set)))
-            )
+        for num, st in enumerate(d.trace.steps, start=1):
+            image = " ".join(f"{x}->{y}" for x, y in enumerate(st.embedding))
+            lines.append(f"# subtraction step {num}: gadget 0 scale {st.scale} image {image}")
+        lines.append("# zero set: " + " ".join(map(str, sorted(d.trace.zero_set))))
         if d.residual_vertices:
             lines.append("# residual vertices: " + " ".join(map(str, d.residual_vertices)))
         if d.coloring is not None:
@@ -133,15 +128,16 @@ def _cmd_exact(args) -> int:
 def _cmd_analyze(args) -> int:
     h = _read_pattern(args.pattern)
     cls = classify_pattern(h)
-    lines = [f"classification: {cls.kind}", f"k: {h.k}"]
-    if cls.decomposition is None:
-        trivial = Fraction(h.k)
-        lines.append(f"guaranteed_factor: {trivial}")
+    d = cls.decomposition
+    lines = [
+        f"classification: {cls.kind}",
+        f"guaranteed_factor: {guaranteed_factor(h, d)}",
+        f"k: {h.k}",
+    ]
+    if d is None:
         sys.stdout.write("\n".join(sorted(lines)) + "\n")
         return 0
-    d = cls.decomposition
     good = construct_good_graph(h, d)
-    lines.append(f"guaranteed_factor: {Fraction(2 * h.k - 1, 2)}")
     lines.append(f"root: {d.root}")
     out = "\n".join(sorted(lines)) + "\n"
     for i, branch in enumerate(d.branches):
@@ -181,15 +177,13 @@ def _cmd_gen(args) -> int:
                 text += f"# v {new_id} {u} {hv}\n"
         sys.stdout.write(text)
         return 0
-    if args.kind == "gl":
-        base_n, base_edges = parse_hypergraph_text(_read_text(args.base))
-        h = _read_pattern(args.pattern)
-        params = GLParams(base_n, base_edges, args.cloud_size, args.multiplier, args.seed)
-        tg = gl_random_instance(h, params)
-        sys.stdout.write(serialize_tagged_graph(tg))
-        return 0
-    print(f"error: unknown generator {args.kind!r}", file=sys.stderr)
-    return 2
+    # the one kind left that argparse admits is gl
+    base_n, base_edges = parse_hypergraph_text(_read_text(args.base))
+    h = _read_pattern(args.pattern)
+    params = GLParams(base_n, base_edges, args.cloud_size, args.multiplier, args.seed)
+    tg = gl_random_instance(h, params)
+    sys.stdout.write(serialize_tagged_graph(tg))
+    return 0
 
 
 def _cmd_verify(args) -> int:
@@ -215,11 +209,11 @@ def _cmd_bench(args) -> int:
         g = unit_weights(random_graph(args.n, args.p, args.seed + i))
         base_sol = solve_baseline(g, h, EnumerationBudget(args.budget))
         pipe_sol = solve(g, h, EnumerationBudget(args.budget))
-        hg = build_copy_hypergraph(g, h, EnumerationBudget(args.budget))
-        tau = solve_cover_lp(hg, g.weights)[0].value if hg.hyperedges else Fraction(0)
+        tau = pipe_sol.detail.tau_star
         opt = None
         if g.n <= args.cap:
-            _, opt = min_weight_cover(hg.hyperedges, g.weights)
+            copies = enumerate_copies(g.graph, h, EnumerationBudget(args.budget))
+            _, opt = min_weight_cover(copies, g.weights)
         def ratio(weight):
             if opt is None or opt == 0:
                 return "-"

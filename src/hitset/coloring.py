@@ -90,12 +90,10 @@ class CoverRun:
     """Outcome of one colour-guided selection."""
 
     selected: tuple[int, ...]
-    top_cover_value: Fraction
     steps: tuple[str, ...]
 
 
 def cover_colored_hypergraph(
-    n: int,
     hyperedges: Sequence[tuple[int, ...]],
     weights: Sequence[Fraction],
     coloring: Coloring,
@@ -104,8 +102,9 @@ def cover_colored_hypergraph(
     """Select a cover of weight at most k(1 - 1/t) times the LP optimum.
 
     ``max_edge_size`` is k; every hyperedge must have size between 2 and
-    k and be at least 2-coloured.  Weights must be positive on every
-    covered vertex.  Raises InvalidColoringError on a monochromatic
+    k and be at least 2-coloured, and its vertices index
+    ``coloring.colors``.  Weights must be positive on every covered
+    vertex.  Raises InvalidColoringError on a monochromatic
     hyperedge and VerificationError if any of the exact bound checks
     fail (which would indicate a bug, not bad input).
     """
@@ -134,7 +133,7 @@ def cover_colored_hypergraph(
     pending_bound: Fraction | None = None
 
     while edges:
-        cover, matching = solve_cover_lp(CopyHypergraph(n, tuple(edges)), weights)
+        cover, matching = solve_cover_lp(CopyHypergraph(len(colors), tuple(edges)), weights)
         if top_value is None:
             top_value = cover.value
         if pending_bound is not None and cover.value > pending_bound:
@@ -175,16 +174,14 @@ def cover_colored_hypergraph(
 
     if pending_bound is not None and pending_bound < 0:
         raise VerificationError("cover value dropped below zero")
-    if top_value is None:
-        top_value = _ZERO
     selected = tuple(sorted(set(picked)))
     if len(selected) != len(picked):
         raise VerificationError("a vertex was selected twice")
     total = sum((weights[v] for v in selected), _ZERO)
-    if total * t > k * (t - 1) * top_value:
+    if total * t > k * (t - 1) * (top_value or _ZERO):
         raise VerificationError("selection exceeded the colour bound")
     for e in original:
         if not set(e) & set(selected):
             raise VerificationError("selection misses a hyperedge")
-    return CoverRun(selected, top_value, tuple(steps))
+    return CoverRun(selected, tuple(steps))
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .graphs import Edge, Graph, Pattern, normalize_edge, serialize_graph, unit_weights
+from .graphs import Edge, Graph, Pattern, _read_lines, normalize_edge, serialize_graph, unit_weights
 from .patterns import branches_at
 
 
@@ -223,41 +223,22 @@ def serialize_tagged_graph(tg: TaggedGraph) -> str:
 
 def parse_hypergraph_text(text: str | bytes) -> tuple[int, tuple[tuple[int, ...], ...]]:
     """Read a base hypergraph: 'p <n> <m>' then m lines 'h <v1> ... <vk>'."""
-    if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
-    n = m = None
     edges: list[tuple[int, ...]] = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        fields = line.split()
-        if fields[0] == "p":
-            if n is not None:
-                raise ParseError(lineno, "malformed", "duplicate header line")
-            if len(fields) != 3:
-                raise ParseError(lineno, "malformed", "header must be 'p <n> <m>'")
-            try:
-                n, m = int(fields[1]), int(fields[2])
-            except ValueError:
-                raise ParseError(lineno, "malformed", "counts must be integers") from None
-        elif fields[0] == "h":
-            if n is None:
-                raise ParseError(lineno, "malformed", "hyperedge line before header")
-            try:
-                vs = tuple(int(x) for x in fields[1:])
-            except ValueError:
-                raise ParseError(lineno, "malformed", "vertex ids must be integers") from None
-            if not vs:
-                raise ParseError(lineno, "malformed", "empty hyperedge")
-            for v in vs:
-                if not 0 <= v < n:
-                    raise ParseError(lineno, "vertex-range", f"vertex {v} out of range 0..{n - 1}")
-            edges.append(vs)
-        else:
-            raise ParseError(lineno, "malformed", f"unknown directive {fields[0]!r}")
-    if n is None:
-        raise ParseError(1, "malformed", "missing 'p <n> <m>' header")
+
+    def on_line(lineno: int, fields: list[str], n: int) -> None:
+        try:
+            vs = tuple(int(x) for x in fields[1:])
+        except ValueError:
+            raise ParseError(lineno, "malformed", "vertex ids must be integers") from None
+        if not vs:
+            raise ParseError(lineno, "malformed", "empty hyperedge")
+        for v in vs:
+            if not 0 <= v < n:
+                raise ParseError(lineno, "vertex-range", f"vertex {v} out of range 0..{n - 1}")
+        edges.append(vs)
+
+    n, m, header_line = _read_lines(text, {"h": "hyperedge"}, on_line)
     if len(edges) != m:
-        raise ParseError(1, "malformed", f"header declares {m} hyperedges, found {len(edges)}")
+        found = len(edges)
+        raise ParseError(header_line, "malformed", f"header declares {m} hyperedges, found {found}")
     return n, tuple(edges)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import ParseError
 
@@ -213,14 +213,20 @@ def _parse_weight(text: str, lineno: int) -> Fraction:
     return value
 
 
-def parse_graph(text: str | bytes) -> WeightedGraph:
-    """Parse instance text into a weighted graph; weights default to 1."""
+def _read_lines(
+    text: str | bytes, body: dict[str, str], on_line: Callable[[int, list[str], int], None]
+) -> tuple[int, int, int]:
+    """Read a 'p <n> <m>' header and pass body lines to ``on_line``.
+
+    ``body`` maps each allowed directive to its name in error messages.
+    Comments and blank lines are skipped; every other line is checked in
+    file order, and ``on_line(lineno, fields, n)`` sees each body line
+    after the header.  Returns n, m and the header's line number.
+    """
     if isinstance(text, (bytes, bytearray)):
         text = text.decode("utf-8")
     n = m = None
     header_line = 0
-    edges: dict[Edge, int] = {}
-    weights: dict[int, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -237,9 +243,24 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
             if n < 0 or m < 0:
                 raise ParseError(lineno, "malformed", "counts must be nonnegative")
             header_line = lineno
-        elif tag == "e":
+        elif tag in body:
             if n is None:
-                raise ParseError(lineno, "malformed", "edge line before header")
+                raise ParseError(lineno, "malformed", f"{body[tag]} line before header")
+            on_line(lineno, fields, n)
+        else:
+            raise ParseError(lineno, "malformed", f"unknown directive {tag!r}")
+    if n is None:
+        raise ParseError(1, "malformed", "missing 'p <n> <m>' header")
+    return n, m, header_line
+
+
+def parse_graph(text: str | bytes) -> WeightedGraph:
+    """Parse instance text into a weighted graph; weights default to 1."""
+    edges: dict[Edge, int] = {}
+    weights: dict[int, Fraction] = {}
+
+    def on_line(lineno: int, fields: list[str], n: int) -> None:
+        if fields[0] == "e":
             if len(fields) != 3:
                 raise ParseError(lineno, "malformed", "edge line must be 'e <u> <v>'")
             u = _parse_int(fields[1], lineno, "vertex id")
@@ -253,9 +274,7 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
             if key in edges:
                 raise ParseError(lineno, "duplicate-edge", f"duplicate edge {key[0]} {key[1]}")
             edges[key] = lineno
-        elif tag == "w":
-            if n is None:
-                raise ParseError(lineno, "malformed", "weight line before header")
+        else:
             if len(fields) != 3:
                 raise ParseError(lineno, "malformed", "weight line must be 'w <u> <value>'")
             u = _parse_int(fields[1], lineno, "vertex id")
@@ -264,10 +283,8 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
             if u in weights:
                 raise ParseError(lineno, "malformed", f"duplicate weight for vertex {u}")
             weights[u] = _parse_weight(fields[2], lineno)
-        else:
-            raise ParseError(lineno, "malformed", f"unknown directive {tag!r}")
-    if n is None:
-        raise ParseError(1, "malformed", "missing 'p <n> <m>' header")
+
+    n, m, header_line = _read_lines(text, {"e": "edge", "w": "weight"}, on_line)
     if len(edges) != m:
         raise ParseError(header_line, "malformed", f"header declares {m} edges, found {len(edges)}")
     graph = Graph(n, frozenset(edges))

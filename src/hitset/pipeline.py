@@ -1,15 +1,19 @@
 """End-to-end solvers with per-instance certificates.
 
-Patterns with a semi-symmetric cut vertex get the improved factor
-k - 1/2: subtract the branch gadget until the residual is gadget-free,
-then colour a conflict digraph built from one chosen copy per central
-vertex and run the colour-guided cover with a palette of 2k.  Everything
-else falls back to the plain k-factor subtraction using the pattern
-itself as the gadget.
+One route serves every pattern: subtract a gadget whose goodness is
+certified by the exact oracle until the residual is gadget-free, then,
+when the pattern has a semi-symmetric cut vertex, colour a conflict
+digraph built from one chosen copy per central vertex and run the
+colour-guided cover with a palette of 2k.  With such a cut vertex the
+gadget is the branch gadget and the factor is k - 1/2; otherwise the
+pattern itself, with unit weights, is a k-good gadget and the zero set
+of the subtraction is the whole answer.
 
-Every returned solution is verified against the full copy enumeration
-before being handed back; a failure there raises VerificationError and
-means a bug, never bad input.
+``solve`` checks its result against its full copy enumeration; a
+failure there raises VerificationError and means a bug, never bad
+input.  ``solve_baseline`` enumerates no copies: its zero set hits every
+copy because the subtraction stops only when no copy lies on positive
+vertices.
 """
 
 from __future__ import annotations
@@ -32,8 +36,8 @@ from .lp import solve_cover_lp
 from .oracle import verify_goodness
 from .patterns import (
     GoodGraph,
+    PatternClass,
     RootedDecomposition,
-    SEMI_SYMMETRIC,
     UNKNOWN,
     classify_pattern,
     construct_good_graph,
@@ -42,9 +46,14 @@ from .patterns import (
 
 @dataclass
 class SolveDetail:
-    """Internals of a solve run, kept for explanation and verification."""
+    """Internals of a solve run, kept for explanation and verification.
 
-    trace: DecompositionTrace | None = None
+    ``tau_star`` is the fractional cover value of the copies with no
+    zero-weight vertex, 0 when there is no such copy.
+    """
+
+    trace: DecompositionTrace
+    tau_star: Fraction
     residual_vertices: tuple[int, ...] = ()
     coloring: Coloring | None = None
     conflict_arcs: tuple[tuple[int, int], ...] = ()
@@ -60,75 +69,90 @@ class Solution:
     lower_bound: Fraction
     guaranteed_factor: Fraction
     classification: str
-    warning: str | None = None
-    detail: SolveDetail | None = None
+    warning: str | None
+    detail: SolveDetail
 
 
-def solve_semi_symmetric(
+def guaranteed_factor(h: Pattern, decomposition: RootedDecomposition | None) -> Fraction:
+    """k - 1/2 with a semi-symmetric decomposition, k without."""
+    if decomposition is None:
+        return Fraction(h.k)
+    return Fraction(2 * h.k - 1, 2)
+
+
+def _route(
     g: WeightedGraph,
     h: Pattern,
-    decomposition: RootedDecomposition,
+    cls: PatternClass,
     hyperedges: Sequence[tuple[int, ...]],
-    budget: EnumerationBudget | None = None,
+    budget: EnumerationBudget | None,
 ) -> Solution:
-    """The (k - 1/2)-factor route for a pattern with a usable cut vertex.
+    """Subtract one certified gadget, cover the residual, certify.
 
-    ``hyperedges`` are the vertex sets of all copies of ``h`` in ``g``;
-    the cover step uses those that survive the decomposition.
+    The cover step runs only when ``cls`` has a decomposition.
+    ``hyperedges`` are the vertex sets of the copies of ``h`` in ``g``
+    that the cover step, the certificate LP and the final check read;
+    with none, those three have nothing to do.
     """
-    if budget is None:
-        budget = EnumerationBudget()
-    k = h.k
-    good = construct_good_graph(h, decomposition)
+    k, d = h.k, cls.decomposition
+    if d is None:
+        good = GoodGraph(h.graph, (Fraction(1),) * k, Fraction(k))
+    else:
+        good = construct_good_graph(h, d)
     if not verify_goodness(good, h):
-        raise VerificationError("constructed gadget failed its goodness certificate")
-
+        raise VerificationError("gadget failed its goodness certificate")
     trace = decompose_weights(g, good, budget)
-    zero_set = trace.zero_set
-    positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
 
-    # one chosen copy per central vertex; its other vertices become arcs
-    root = decomposition.root
-    arcs: set[tuple[int, int]] = set()
-    for u in sorted(positive):
-        emb = find_rooted_copy(g.graph, h.graph, root, u, allowed=positive)
-        if emb is None:
-            continue
-        for w in emb:
-            if w != u:
-                arcs.add((u, w))
-    conflict = Digraph(g.n, frozenset(arcs))
-    base_coloring = color_digraph(conflict, k - 1)
+    # certificate: fractional cover value of the original instance; edges
+    # touching a zero-weight vertex are covered for free
+    lp_edges = tuple(e for e in hyperedges if all(g.weights[v] > 0 for v in e))
+    tau_star = Fraction(0)
+    if lp_edges:
+        tau_star = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)[0].value
 
-    used_colors = len(set(base_coloring.colors))
-    if used_colors > 2 * k - 1:
-        raise VerificationError("conflict colouring used too many colours")
-    for u, w in arcs:
-        if base_coloring.colors[u] == base_coloring.colors[w]:
+    chosen = set(trace.zero_set)
+    detail = SolveDetail(trace, tau_star)
+    if d is not None:
+        positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
+        # one chosen copy per central vertex; its other vertices become arcs
+        arcs: set[tuple[int, int]] = set()
+        for u in sorted(positive):
+            emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=positive)
+            if emb is not None:
+                arcs.update((u, w) for w in emb if w != u)
+        colors = color_digraph(Digraph(g.n, frozenset(arcs)), k - 1).colors
+        if len(set(colors)) > 2 * k - 1:
+            raise VerificationError("conflict colouring used too many colours")
+        if any(colors[u] == colors[w] for u, w in arcs):
             raise VerificationError("conflict colouring is not proper")
-    coloring = Coloring(base_coloring.colors, 2 * k)
+        coloring = Coloring(colors, 2 * k)
+        run = cover_colored_hypergraph(
+            tuple(e for e in hyperedges if positive.issuperset(e)),
+            trace.final_weights,
+            coloring,
+            k,
+        )
+        chosen.update(run.selected)
+        detail = SolveDetail(
+            trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps
+        )
 
-    run = cover_colored_hypergraph(
-        g.n,
-        tuple(e for e in hyperedges if positive.issuperset(e)),
-        trace.final_weights,
-        coloring,
-        k,
-    )
-    hitting = tuple(sorted(zero_set | set(run.selected)))
-    detail = SolveDetail(
-        trace=trace,
-        residual_vertices=tuple(sorted(positive)),
-        coloring=coloring,
-        conflict_arcs=tuple(sorted(arcs)),
-        cover_steps=run.steps,
-    )
+    if any(chosen.isdisjoint(e) for e in hyperedges):
+        raise VerificationError("solution misses a pattern copy")
+    hitting = tuple(sorted(chosen))
+    warning = None
+    if cls.kind == UNKNOWN:
+        warning = (
+            "pattern is neither 2-connected nor has a usable cut vertex; "
+            "only the trivial factor applies"
+        )
     return Solution(
         hitting_set=hitting,
         weight=g.total(hitting),
-        lower_bound=trace.dual_bound(good),
-        guaranteed_factor=Fraction(2 * k - 1, 2),
-        classification=SEMI_SYMMETRIC,
+        lower_bound=max(trace.dual_bound(good), tau_star),
+        guaranteed_factor=guaranteed_factor(h, d),
+        classification=cls.kind,
+        warning=warning,
         detail=detail,
     )
 
@@ -137,27 +161,13 @@ def solve_baseline(
     g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> Solution:
     """Plain k-factor route: the pattern itself is a k-good gadget."""
-    if budget is None:
-        budget = EnumerationBudget()
-    base_good = GoodGraph(h.graph, (Fraction(1),) * h.k, Fraction(h.k))
-    if not verify_goodness(base_good, h):
-        raise VerificationError("unit-weight pattern failed its goodness certificate")
-    trace = decompose_weights(g, base_good, budget)
-    hitting = tuple(sorted(trace.zero_set))
-    return Solution(
-        hitting_set=hitting,
-        weight=g.total(hitting),
-        lower_bound=trace.dual_bound(base_good),
-        guaranteed_factor=Fraction(h.k),
-        classification="baseline",
-        detail=SolveDetail(trace=trace),
-    )
+    return _route(g, h, PatternClass("baseline"), (), budget)
 
 
 def solve(
     g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> Solution:
-    """Dispatch on the pattern classification and certify the result.
+    """Classify the pattern, solve on its route and certify the result.
 
     The reported lower bound is the larger of the fractional cover value
     of the original copy hypergraph and the bound certified by the
@@ -166,33 +176,7 @@ def solve(
     if budget is None:
         budget = EnumerationBudget()
     hyperedges = tuple(enumerate_copies(g.graph, h, budget))
-
-    cls = classify_pattern(h)
-    if cls.kind == SEMI_SYMMETRIC:
-        sol = solve_semi_symmetric(g, h, cls.decomposition, hyperedges, budget)
-    else:
-        sol = solve_baseline(g, h, budget)
-        sol.classification = cls.kind
-        if cls.kind == UNKNOWN:
-            sol.warning = (
-                "pattern is neither 2-connected nor has a usable cut vertex; "
-                "only the trivial factor applies"
-            )
-
-    # certificate: fractional cover value of the original instance; edges
-    # touching a zero-weight vertex are covered for free
-    lp_edges = tuple(
-        e for e in hyperedges if all(g.weights[v] > 0 for v in e)
-    )
-    if lp_edges:
-        cover, _ = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)
-        sol.lower_bound = max(sol.lower_bound, cover.value)
-
-    chosen = set(sol.hitting_set)
-    for e in hyperedges:
-        if not chosen.intersection(e):
-            raise VerificationError("solution misses a pattern copy")
-    return sol
+    return _route(g, h, classify_pattern(h), hyperedges, budget)
 
 
 def verify_solution(g: Graph, h: Pattern, s: Iterable[int]) -> bool:

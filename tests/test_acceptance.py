@@ -129,7 +129,7 @@ def test_criterion_2_color_cover_bound():
                 break
         if colors is None:
             colors = tuple(v % t for v in range(n))
-        run = cover_colored_hypergraph(n, edges, weights, Coloring(colors, t), k)
+        run = cover_colored_hypergraph(edges, weights, Coloring(colors, t), k)
         cover, _ = solve_cover_lp(CopyHypergraph(n, edges), weights)
         total = sum((weights[v] for v in run.selected), Fraction(0))
         assert total * t <= k * (t - 1) * cover.value

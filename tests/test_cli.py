@@ -4,7 +4,7 @@ import pytest
 
 from hitset import serialize_graph, unit_weights
 from hitset.cli import main, parse_solution_document
-from helpers import hub_branches_pattern
+from helpers import hub_branches_pattern, triangle_square_share_vertex
 
 K3_TEXT = "p 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 P3_TEXT = "p 3 2\ne 0 1\ne 1 2\n"
@@ -202,6 +202,35 @@ weight: 3
 """
 
 
+K3_ON_K4_EXPLAIN = """\
+classification: two-connected
+guaranteed_factor: 3
+lower_bound: 4/3
+vertices: 0 1 2
+weight: 3
+# subtraction step 1: gadget 0 scale 1 image 0->0 1->1 2->2
+# zero set: 0 1 2
+"""
+
+TRIANGLE_SQUARE_EXPLAIN = """\
+classification: unknown
+guaranteed_factor: 6
+lower_bound: 4/3
+vertices: 0 1 2 3 5 6
+warning: pattern is neither 2-connected nor has a usable cut vertex; only the trivial factor applies
+weight: 6
+# subtraction step 1: gadget 0 scale 1 image 0->0 1->1 2->3 3->5 4->2 5->6
+# zero set: 0 1 2 3 5 6
+"""
+
+P3_BENCH = """\
+instance\tk\tn\tbaseline_weight\tpipeline_weight\texact_opt\ttau_star\tbaseline_ratio\tpipeline_ratio
+r0000\t3\t10\t9\t5\t4\t10/3\t9/4\t5/4
+r0001\t3\t10\t6\t4\t4\t10/3\t3/2\t1
+r0002\t3\t10\t6\t4\t4\t10/3\t3/2\t1
+"""
+
+
 @pytest.fixture
 def star(tmp_path):
     path = tmp_path / "star.graph"
@@ -221,6 +250,28 @@ def test_solve_explain_golden_seeded_host(files, capsys, tmp_path):
     host = tmp_path / "seeded.graph"
     host.write_text(text)
     assert run(capsys, "solve", host, p3, "--explain") == (0, SEEDED_P3_EXPLAIN, "")
+
+
+def test_solve_explain_golden_two_connected(files, tmp_path, capsys):
+    _, k3, _, _ = files
+    k4 = tmp_path / "k4.graph"
+    k4.write_text("p 4 6\ne 0 1\ne 0 2\ne 0 3\ne 1 2\ne 1 3\ne 2 3\n")
+    assert run(capsys, "solve", k4, k3, "--explain") == (0, K3_ON_K4_EXPLAIN, "")
+
+
+def test_solve_explain_golden_unknown_pattern(capsys, tmp_path):
+    code, text, _ = run(capsys, "gen", "random", "--n", "8", "--p", "0.6", "--seed", "1")
+    assert code == 0
+    host = tmp_path / "seeded.graph"
+    host.write_text(text)
+    pattern = tmp_path / "triangle_square.graph"
+    pattern.write_text(serialize_graph(unit_weights(triangle_square_share_vertex().graph)))
+    assert run(capsys, "solve", host, pattern, "--explain") == (0, TRIANGLE_SQUARE_EXPLAIN, "")
+
+
+def test_bench_golden(files, capsys):
+    _, _, p3, _ = files
+    assert run(capsys, "bench", "--pattern", p3, "--count", "3") == (0, P3_BENCH, "")
 
 
 @pytest.mark.parametrize(

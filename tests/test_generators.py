@@ -144,3 +144,17 @@ def test_parse_hypergraph_text():
         parse_hypergraph_text("h 0 1\n")
     with pytest.raises(ParseError):
         parse_hypergraph_text("p 2 1\nh 0 5\n")
+
+
+def test_parse_hypergraph_count_mismatch_names_header_line():
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph_text("# c\np 3 2\nh 0 1 2\n")
+    assert err.value.line == 2
+    assert str(err.value) == "line 2: header declares 2 hyperedges, found 1"
+
+
+def test_parse_hypergraph_negative_counts_rejected():
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph_text("p -2 0\n")
+    assert (err.value.line, err.value.kind) == (1, "malformed")
+    assert str(err.value) == "line 1: counts must be nonnegative"

@@ -16,7 +16,6 @@ from hitset import (
     find_semi_symmetric_cut_vertex,
     solve,
     solve_baseline,
-    solve_semi_symmetric,
     unit_weights,
     verify_solution,
 )
@@ -31,10 +30,6 @@ from helpers import (
 
 P3 = Pattern(path_graph(3))
 K3 = Pattern(complete_graph(3))
-
-
-def _copy_sets(g: Graph, h: Pattern) -> tuple[tuple[int, ...], ...]:
-    return tuple(enumerate_copies(g, h))
 
 
 def test_solve_triangle_host():
@@ -88,9 +83,7 @@ def test_semi_symmetric_star_host():
 
 
 def test_semi_symmetric_k3_host_details():
-    d = find_semi_symmetric_cut_vertex(P3)
-    g = complete_graph(3)
-    sol = solve_semi_symmetric(unit_weights(g), P3, d, _copy_sets(g, P3))
+    sol = solve(unit_weights(complete_graph(3)), P3)
     assert sol.detail.trace.steps == ()
     assert sol.detail.residual_vertices == (0, 1, 2)
     # every vertex is central with two outgoing arcs
@@ -112,6 +105,7 @@ def test_baseline_two_disjoint_triangles():
     sol = solve_baseline(g, K3)
     assert sol.weight == 6
     assert sol.lower_bound == 2
+    assert sol.detail.tau_star == 0  # no copies, so no certificate LP
     _, opt = exact_min_hitting_set(g, K3)
     assert opt == 2
 
@@ -139,7 +133,7 @@ def test_factor_guarantee_small_corpus(seed):
 def test_residual_copies_bichromatic_and_spokes_blocked(seed):
     g = unit_weights(random_graph(10, 0.5, 8000 + seed))
     d = find_semi_symmetric_cut_vertex(P3)
-    sol = solve_semi_symmetric(g, P3, d, _copy_sets(g.graph, P3))
+    sol = solve(g, P3)
     detail = sol.detail
     positive = frozenset(detail.residual_vertices)
     colors = detail.coloring.colors
@@ -200,7 +194,7 @@ def test_lower_bound_includes_fractional_cover():
     g = unit_weights(complete_graph(3))
     sol = solve(g, P3)
     assert sol.detail.trace.steps == ()
-    assert sol.lower_bound == 1
+    assert sol.lower_bound == sol.detail.tau_star == 1
 
 
 def test_single_edge_pattern_is_vertex_cover():
