@@ -1,23 +1,36 @@
-"""Exact rational LP for the fractional cover / fractional matching pair.
+"""Exact LP for the fractional cover / fractional matching pair.
 
 The cover program minimizes sum w(v) g(v) subject to every hyperedge
 collecting cover mass at least 1.  Its dual, the matching program,
 maximizes sum f(e) subject to the per-vertex capacity w(v).  The matching
 program has the all-slack basis feasible, so it is solved directly by the
-revised simplex method over ``fractions.Fraction``; the optimal cover is
-read off the simplex multipliers of the final basis.  Both solutions are
-exactly feasible, exactly optimal, and satisfy complementary slackness;
-their values agree exactly.
+revised simplex method; the optimal cover is read off the simplex
+multipliers of the final basis.
+
+The simplex is fraction-free (Edmonds 1967; Bareiss 1968).  Weights are
+scaled to integers by the lcm of their denominators, and the basis
+inverse is held as ``adj / d``: ``adj`` is the integer adjugate of the
+basis matrix and ``d = det(B) > 0``.  The basic solution and the
+multipliers are integer vectors over the same ``d``, so pricing and the
+ratio test compare integers, and a pivot on row ``l`` with pivot
+element ``p`` is the Bareiss update ``adj[i] = (adj[i] p - dir[i]
+adj[l]) // d`` (an exact division), after which ``d = p``.  Fractions
+are built once, from the final basis.  Both solutions are exactly
+feasible, exactly optimal, and satisfy complementary slackness; their
+values agree exactly.
 
 Pricing is greedy (largest reduced cost, smallest index on ties) and
 falls back to Bland's rule after a run of degenerate pivots, which
-guarantees termination.
+guarantees termination.  The leaving row is the least ratio, ties going
+to the smallest basic variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Mapping, Sequence
 
 from .errors import VerificationError
@@ -25,7 +38,6 @@ from .graphs import CopyHypergraph
 
 _BLAND_AFTER = 8
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 @dataclass
@@ -54,7 +66,7 @@ def solve_cover_lp(
     """
     verts = list(hg.covered_vertices())
     edges = list(hg.hyperedges)
-    w = {v: Fraction(weights[v]) for v in verts}
+    w = {v: weights[v] for v in verts}
     for v in verts:
         if w[v] <= 0:
             raise ValueError(f"covered vertex {v} must have positive weight")
@@ -65,88 +77,91 @@ def solve_cover_lp(
     row_of = {v: i for i, v in enumerate(verts)}
     cols = [tuple(row_of[v] for v in e) for e in edges]
     nstruct = len(cols)
+    scale = lcm(*(w[v].denominator for v in verts))
+    # slots[t][j] is the t-th row of column j, or the always-zero row m
+    width = max(len(c) for c in cols)
+    slots = [[c[t] if t < len(c) else m for c in cols] for t in range(width)]
 
-    binv = [[_ONE if i == j else _ZERO for j in range(m)] for i in range(m)]
+    # B^-1 = adj / d, x_B = xb / d and pi = pi_int / d, all integer
+    adj = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    d = 1
     basis = [nstruct + i for i in range(m)]
-    xb = [w[v] for v in verts]
+    xb = [w[v].numerator * (scale // w[v].denominator) for v in verts]
+    pi_int = [0] * m
     degenerate_streak = 0
 
     while True:
-        pi = [_ZERO] * m
-        for i in range(m):
-            if basis[i] < nstruct:
-                row = binv[i]
-                for j in range(m):
-                    if row[j]:
-                        pi[j] += row[j]
-
-        bland = degenerate_streak >= _BLAND_AFTER
+        # reduced costs times d: d - col_sum[j] for a column, -pi_int[r] for a slack
+        get = (pi_int + [0]).__getitem__
+        col_sum = list(map(get, slots[0]))
+        for rows in slots[1:]:
+            col_sum = list(map(add, col_sum, map(get, rows)))
         entering = -1
-        best_rc = _ZERO
-        for j in range(nstruct):
-            rc = _ONE - sum((pi[r] for r in cols[j]), _ZERO)
-            if rc > best_rc:
-                entering = j
-                best_rc = rc
-                if bland:
-                    break
-        if entering == -1 or not bland:
-            for r in range(m):
-                rc = -pi[r]
-                if rc > best_rc:
-                    entering = nstruct + r
-                    best_rc = rc
-                    if bland:
-                        break
+        if degenerate_streak >= _BLAND_AFTER:
+            entering = next((j for j, s in enumerate(col_sum) if s < d), -1)
+            if entering == -1:
+                entering = next((nstruct + r for r, x in enumerate(pi_int) if x < 0), -1)
+        else:
+            least = min(col_sum)
+            if least < d:
+                entering = col_sum.index(least)
+            least_pi = min(pi_int)
+            if -least_pi > max(d - least, 0):
+                entering = nstruct + pi_int.index(least_pi)
         if entering == -1:
             break
 
+        # entering reduced cost rc / d and direction / d; direction = adj times its column
         if entering < nstruct:
-            direction = [_ZERO] * m
-            for r in cols[entering]:
-                col = r
-                for i in range(m):
-                    if binv[i][col]:
-                        direction[i] += binv[i][col]
+            rc = d - col_sum[entering]
+            rows = cols[entering]
+            direction = [sum([row[r] for r in rows]) for row in adj]
         else:
             col = entering - nstruct
-            direction = [binv[i][col] for i in range(m)]
+            rc = -pi_int[col]
+            direction = [row[col] for row in adj]
 
+        # least ratio xb[i] / dir[i] over dir[i] > 0, by cross-multiplication
         leave = -1
-        best_ratio = None
         for i in range(m):
             if direction[i] > 0:
-                ratio = xb[i] / direction[i]
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[leave])
-                ):
-                    best_ratio = ratio
+                if leave == -1:
+                    leave = i
+                    continue
+                lhs = xb[i] * direction[leave]
+                rhs = xb[leave] * direction[i]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave == -1:
             raise VerificationError("matching LP appears unbounded")
 
-        degenerate_streak = degenerate_streak + 1 if best_ratio == 0 else 0
+        degenerate_streak = degenerate_streak + 1 if xb[leave] == 0 else 0
 
-        pivot = direction[leave]
-        prow = binv[leave] = [x / pivot for x in binv[leave]]
-        xb[leave] /= pivot
+        # Bareiss pivot; the new determinant is p, and every division is exact
+        p = direction[leave]
+        prow = adj[leave]
+        px = xb[leave]
         for i in range(m):
-            if i != leave and direction[i]:
-                f = direction[i]
-                row = binv[i]
-                binv[i] = [a - f * b for a, b in zip(row, prow)]
-                xb[i] -= f * xb[leave]
+            if i == leave:
+                continue
+            f = direction[i]
+            if f:
+                adj[i] = [(a * p - f * b) // d for a, b in zip(adj[i], prow)]
+                xb[i] = (xb[i] * p - f * px) // d
+            elif p != d:
+                adj[i] = [a * p // d for a in adj[i]]
+                xb[i] = xb[i] * p // d
+        # dual update: pi gains rc / p times the pivot row of B^-1
+        pi_int = [(a * p + rc * b) // d for a, b in zip(pi_int, prow)]
+        d = p
         basis[leave] = entering
 
-    matching_values = {e: _ZERO for e in edges}
-    for i in range(m):
-        if basis[i] < nstruct:
-            matching_values[edges[basis[i]]] = xb[i]
-    matching_value = sum(matching_values.values(), _ZERO)
-    cover_values = {verts[r]: pi[r] for r in range(m)}
-    cover_value = sum((pi[r] * w[verts[r]] for r in range(m)), _ZERO)
+    den = d * scale
+    basic = {edges[j]: Fraction(x, den) for j, x in zip(basis, xb) if j < nstruct}
+    matching_values = {e: basic.get(e, _ZERO) for e in edges}
+    matching_value = sum(basic.values(), _ZERO)
+    cover_values = {verts[r]: Fraction(pi_int[r], d) for r in range(m)}
+    cover_value = sum((g * w[v] for v, g in cover_values.items()), _ZERO)
 
     _check_optimal_pair(edges, w, cover_values, matching_values, cover_value, matching_value)
     return (
@@ -161,10 +176,12 @@ def _check_optimal_pair(edges, w, cover, matching, cover_value, matching_value):
         raise VerificationError("cover and matching values differ")
     load = {v: _ZERO for v in w}
     for e in edges:
-        if matching[e] < 0:
+        f = matching[e]
+        if f < 0:
             raise VerificationError("negative matching mass")
-        for v in e:
-            load[v] += matching[e]
+        if f:
+            for v in e:
+                load[v] += f
         if sum((cover[v] for v in e), _ZERO) < 1:
             raise VerificationError("cover constraint violated")
     for v, g in cover.items():
