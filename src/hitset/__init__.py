@@ -36,7 +36,6 @@ from .generators import (
 )
 from .graphs import (
     CopyHypergraph,
-    Digraph,
     Graph,
     Pattern,
     WeightedGraph,
@@ -46,12 +45,7 @@ from .graphs import (
     unit_weights,
 )
 from .localratio import DecompositionTrace, TraceStep, decompose_weights
-from .lp import (
-    FractionalCover,
-    FractionalMatching,
-    check_complementary_slackness,
-    solve_cover_lp,
-)
+from .lp import FractionalCover, FractionalMatching, solve_cover_lp
 from .oracle import (
     exact_min_hitting_set,
     exact_min_vertex_cover,
@@ -68,9 +62,6 @@ from .patterns import (
     branches_at,
     classify_pattern,
     construct_good_graph,
-    find_semi_symmetric_cut_vertex,
-    is_two_connected,
-    rooted_subgraph_contains,
 )
 from .pipeline import (
     Solution,

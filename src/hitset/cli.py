@@ -16,7 +16,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .copies import DEFAULT_MAX_COPIES, EnumerationBudget, enumerate_copies
+from .copies import DEFAULT_MAX_COPIES, EnumerationBudget
 from .errors import (
     BudgetExceededError,
     InvalidColoringError,
@@ -32,13 +32,8 @@ from .generators import (
     random_graph,
     serialize_tagged_graph,
 )
-from .graphs import Pattern, WeightedGraph, parse_graph, serialize_graph, unit_weights
-from .oracle import (
-    DEFAULT_CAP,
-    exact_min_hitting_set,
-    exact_min_vertex_cover,
-    min_weight_cover,
-)
+from .graphs import _INTEGER, Pattern, WeightedGraph, parse_graph, serialize_graph, unit_weights
+from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
 from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, guaranteed_factor, solve, solve_baseline, verify_solution
 
@@ -93,10 +88,10 @@ def parse_solution_document(text: str) -> tuple[int, ...]:
             body = raw.split(":", 1)[1].strip()
             if not body:
                 return ()
-            try:
-                return tuple(int(x) for x in body.split())
-            except ValueError:
-                raise ParseError(lineno, "malformed", "vertices must be integers") from None
+            fields = body.split()
+            if not all(_INTEGER.fullmatch(x) for x in fields):
+                raise ParseError(lineno, "malformed", "vertices must be integers")
+            return tuple(map(int, fields))
     raise ParseError(1, "malformed", "no 'vertices:' line in solution document")
 
 
@@ -212,8 +207,9 @@ def _cmd_bench(args) -> int:
         tau = pipe_sol.detail.tau_star
         opt = None
         if g.n <= args.cap:
-            copies = enumerate_copies(g.graph, h, EnumerationBudget(args.budget))
-            _, opt = min_weight_cover(copies, g.weights)
+            _, opt = exact_min_hitting_set(
+                g, h, cap=args.cap, budget=EnumerationBudget(args.budget)
+            )
         def ratio(weight):
             if opt is None or opt == 0:
                 return "-"

@@ -18,10 +18,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InvalidColoringError, VerificationError
-from .graphs import CopyHypergraph, Digraph
+from .graphs import CopyHypergraph
 from .lp import solve_cover_lp
 
 _ZERO = Fraction(0)
@@ -41,23 +41,25 @@ class Coloring:
             raise ValueError("colour out of palette range")
 
 
-def color_digraph(d: Digraph, m: int) -> Coloring:
-    """Proper colouring of the underlying graph with at most 2m+1 colours.
+def color_digraph(n: int, arcs: Iterable[tuple[int, int]], m: int) -> tuple[int, ...]:
+    """Proper colouring, drawn from 0..2m, of the underlying graph of the
+    digraph on vertices 0..n-1 with the given distinct arcs.
 
     Requires every out-degree at most m.  Peels the smallest-id vertex of
     total degree at most 2m, then colours greedily on re-insertion.
     """
-    if any(deg > m for deg in d.out_degrees()):
-        raise ValueError(f"out-degree bound {m} violated")
-    n = d.n
+    out_degree = [0] * n
     arcs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
     neighbors: list[set[int]] = [set() for _ in range(n)]
-    for u, v in d.arcs:
+    for u, v in arcs:
+        out_degree[u] += 1
         arcs_at[u].append((u, v))
         arcs_at[v].append((u, v))
         neighbors[u].add(v)
         neighbors[v].add(u)
 
+    if any(deg > m for deg in out_degree):
+        raise ValueError(f"out-degree bound {m} violated")
     degree = [len(arcs_at[v]) for v in range(n)]
     alive = [True] * n
     order: list[int] = []
@@ -79,10 +81,9 @@ def color_digraph(d: Digraph, m: int) -> Coloring:
         while c in used:
             c += 1
         colors[v] = c
-    t = 2 * m + 1
-    if any(c >= t for c in colors):
+    if any(c > 2 * m for c in colors):
         raise VerificationError("greedy colouring exceeded its palette")
-    return Coloring(tuple(colors), t)
+    return tuple(colors)
 
 
 @dataclass

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError
-from .graphs import Edge, Graph, Pattern, _read_lines, normalize_edge, serialize_graph, unit_weights
+from .graphs import Edge, Graph, Pattern, normalize_edge, serialize_graph, unit_weights
+from .graphs import _INTEGER, _read_lines
 from .patterns import branches_at
 
 
@@ -226,10 +227,9 @@ def parse_hypergraph_text(text: str | bytes) -> tuple[int, tuple[tuple[int, ...]
     edges: list[tuple[int, ...]] = []
 
     def on_line(lineno: int, fields: list[str], n: int) -> None:
-        try:
-            vs = tuple(int(x) for x in fields[1:])
-        except ValueError:
-            raise ParseError(lineno, "malformed", "vertex ids must be integers") from None
+        if not all(_INTEGER.fullmatch(x) for x in fields[1:]):
+            raise ParseError(lineno, "malformed", "vertex ids must be integers")
+        vs = tuple(map(int, fields[1:]))
         if not vs:
             raise ParseError(lineno, "malformed", "empty hyperedge")
         for v in vs:

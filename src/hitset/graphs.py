@@ -13,6 +13,7 @@ dense range 0..n-1.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
@@ -144,28 +145,6 @@ def unit_weights(g: Graph) -> WeightedGraph:
 
 
 @dataclass(frozen=True)
-class Digraph:
-    """Directed graph on vertices 0..n-1; no self-loops."""
-
-    n: int
-    arcs: frozenset[tuple[int, int]] = frozenset()
-
-    def __post_init__(self):
-        for u, v in self.arcs:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"arc ({u}, {v}) out of range for n={self.n}")
-        object.__setattr__(self, "arcs", frozenset(self.arcs))
-
-    def out_degrees(self) -> list[int]:
-        degs = [0] * self.n
-        for u, _ in self.arcs:
-            degs[u] += 1
-        return degs
-
-
-@dataclass(frozen=True)
 class CopyHypergraph:
     """Hyperedges are the distinct vertex sets of pattern copies.
 
@@ -192,18 +171,21 @@ class CopyHypergraph:
         return tuple(sorted({v for e in self.hyperedges for v in e}))
 
 
+# ASCII digits only: int() alone would also take '1_0' and non-ASCII digits
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+
+
 def _parse_int(text: str, lineno: int, what: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ParseError(lineno, "malformed", f"expected an integer {what}, got {text!r}") from None
+    if not _INTEGER.fullmatch(text):
+        raise ParseError(lineno, "malformed", f"expected an integer {what}, got {text!r}")
+    return int(text)
 
 
 def _parse_weight(text: str, lineno: int) -> Fraction:
-    num_text, _, den_text = text.partition("/")
+    num_text, slash, den_text = text.partition("/")
     num = _parse_int(num_text, lineno, "weight numerator")
     den = 1
-    if den_text:
+    if slash:
         den = _parse_int(den_text, lineno, "weight denominator")
         if den <= 0:
             raise ParseError(lineno, "malformed", f"weight denominator must be positive, got {den}")

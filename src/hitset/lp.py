@@ -190,25 +190,3 @@ def _check_optimal_pair(edges, w, cover, matching, cover_value, matching_value):
         if load[v] > w[v]:
             raise VerificationError("matching capacity violated")
 
-
-def check_complementary_slackness(
-    cover: FractionalCover,
-    matching: FractionalMatching,
-    hg: CopyHypergraph,
-    weights: Sequence[Fraction] | Mapping[int, Fraction],
-) -> bool:
-    """True iff positive cover mass forces a tight capacity and positive
-    matching mass forces a tight cover constraint (exact comparisons)."""
-    load: dict[int, Fraction] = {v: _ZERO for v in hg.covered_vertices()}
-    for e in hg.hyperedges:
-        f = matching.values.get(e, _ZERO)
-        for v in e:
-            load[v] += f
-    for v, g in cover.values.items():
-        if g > 0 and load.get(v, _ZERO) != Fraction(weights[v]):
-            return False
-    for e in hg.hyperedges:
-        f = matching.values.get(e, _ZERO)
-        if f > 0 and sum((cover.values.get(v, _ZERO) for v in e), _ZERO) != 1:
-            return False
-    return True

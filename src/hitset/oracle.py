@@ -71,32 +71,18 @@ def min_weight_cover(
 
     best_weight = [inc_weight]
 
-    def lower_bound(pending: list[int], excluded: int) -> Fraction | None:
-        """Disjoint undecided parts of pending edges; None when infeasible."""
-        taken = 0
-        total = _ZERO
-        for em in pending:
-            und = em & ~excluded
-            if und == 0:
-                return None
-            if not und & taken:
-                taken |= und
-                total += min(w[i] for i in _bits(und))
-        return total
-
-    def search(pending: list[int], excluded: int, current: Fraction) -> None:
-        if not pending:
-            if current < best_weight[0]:
-                best_weight[0] = current
-            return
-        branch = None
+    def bound_and_branch(pending: list[int], excluded: int) -> tuple[Fraction, int] | None:
+        """Greedy bound from disjoint undecided parts of pending edges, and
+        the first undecided part with the fewest vertices; None when a
+        pending edge has no undecided vertex left."""
+        branch = 0
         branch_count = 1 << 30
         taken = 0
         bound = _ZERO
         for em in pending:
             und = em & ~excluded
             if und == 0:
-                return
+                return None
             c = und.bit_count()
             if c < branch_count:
                 branch_count = c
@@ -104,13 +90,20 @@ def min_weight_cover(
             if not und & taken:
                 taken |= und
                 bound += min(w[i] for i in _bits(und))
-        if current + bound >= best_weight[0]:
+        return bound, branch
+
+    def search(pending: list[int], excluded: int, current: Fraction) -> None:
+        if not pending:
+            if current < best_weight[0]:
+                best_weight[0] = current
+            return
+        step = bound_and_branch(pending, excluded)
+        if step is None or current + step[0] >= best_weight[0]:
             return
         exc = excluded
-        for i in _bits(branch):
-            bit = 1 << i
+        for i in _bits(step[1]):
             search([em for em in pending if not em >> i & 1], exc, current + w[i])
-            exc |= bit
+            exc |= 1 << i
 
     search(masks, 0, _ZERO)
     target = best_weight[0]
@@ -120,18 +113,11 @@ def min_weight_cover(
             return False
         if not pending:
             return True
-        branch = None
-        branch_count = 1 << 30
-        bound = lower_bound(pending, excluded)
-        if bound is None or current + bound > target:
+        step = bound_and_branch(pending, excluded)
+        if step is None or current + step[0] > target:
             return False
-        for em in pending:
-            c = (em & ~excluded).bit_count()
-            if c < branch_count:
-                branch_count = c
-                branch = em & ~excluded
         exc = excluded
-        for i in _bits(branch):
+        for i in _bits(step[1]):
             if completes([em for em in pending if not em >> i & 1], exc, current + w[i]):
                 return True
             exc |= 1 << i

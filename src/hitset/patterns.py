@@ -22,13 +22,6 @@ TWO_CONNECTED = "two-connected"
 UNKNOWN = "unknown"
 
 
-def is_two_connected(h: Graph) -> bool:
-    """True iff h has >= 3 vertices, is connected and has no cut vertex."""
-    if h.n < 3 or not h.is_connected():
-        return False
-    return all(len(branches_at(h, v)) == 1 for v in range(h.n))
-
-
 @dataclass(frozen=True)
 class RootedDecomposition:
     """Branch split at a cut vertex with a root-fixing branch embedding.
@@ -44,17 +37,6 @@ class RootedDecomposition:
     small_index: int
     big_index: int
     embedding: tuple[tuple[int, int], ...]
-
-
-def rooted_subgraph_contains(
-    small: Graph, small_root: int, big: Graph, big_root: int
-) -> tuple[int, ...] | None:
-    """Lexicographically least injective edge-preserving map fixing the root.
-
-    Returns a tuple ``m`` with ``m[u]`` the image of small-vertex ``u``,
-    or None when no such map exists.  ``small`` must be connected.
-    """
-    return min(embeddings(big, small, root=small_root, root_image=big_root), default=None)
 
 
 def branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:
@@ -87,30 +69,13 @@ def _branch_embedding(
 ) -> tuple[tuple[int, int], ...] | None:
     small_graph, small_ids = induced_subgraph(h, small)
     big_graph, big_ids = induced_subgraph(h, big)
-    mapping = rooted_subgraph_contains(
-        small_graph, small_ids.index(root), big_graph, big_ids.index(root)
+    rooted = embeddings(
+        big_graph, small_graph, root=small_ids.index(root), root_image=big_ids.index(root)
     )
+    mapping = min(rooted, default=None)  # the lexicographically least map
     if mapping is None:
         return None
     return tuple((small_ids[u], big_ids[mapping[u]]) for u in range(len(small_ids)))
-
-
-def find_semi_symmetric_cut_vertex(p: Pattern) -> RootedDecomposition | None:
-    """First cut vertex whose branch family contains a root-fixing embedding.
-
-    Deterministic: smallest cut vertex, then smallest branch pair (i, j)
-    with i != j, branches in canonical order.  Branch equality counts as
-    containment.
-    """
-    h = p.graph
-    for v in range(h.n):
-        branches = branches_at(h, v)
-        # a vertex that is not a cut vertex has one branch and so no pair
-        for i, j in itertools.permutations(range(len(branches)), 2):
-            emb = _branch_embedding(h, branches[i], branches[j], v)
-            if emb is not None:
-                return RootedDecomposition(v, branches, i, j, emb)
-    return None
 
 
 @dataclass(frozen=True)
@@ -183,10 +148,22 @@ class PatternClass:
 
 
 def classify_pattern(p: Pattern) -> PatternClass:
-    """semi-symmetric (improved factor), two-connected, or unknown."""
-    if is_two_connected(p.graph):
+    """two-connected, semi-symmetric (improved factor), or unknown.
+
+    A pattern with three or more vertices and one branch at every vertex
+    is 2-connected.  Otherwise the decomposition is at the first cut
+    vertex whose branch family contains a root-fixing embedding:
+    smallest cut vertex, then smallest branch pair (i, j) with i != j,
+    branches in canonical order.  Branch equality counts as containment.
+    """
+    h = p.graph
+    table = [branches_at(h, v) for v in range(h.n)]
+    if h.n >= 3 and all(len(branches) == 1 for branches in table):
         return PatternClass(TWO_CONNECTED)
-    d = find_semi_symmetric_cut_vertex(p)
-    if d is not None:
-        return PatternClass(SEMI_SYMMETRIC, d)
+    for v, branches in enumerate(table):
+        # a vertex that is not a cut vertex has one branch and so no pair
+        for i, j in itertools.permutations(range(len(branches)), 2):
+            emb = _branch_embedding(h, branches[i], branches[j], v)
+            if emb is not None:
+                return PatternClass(SEMI_SYMMETRIC, RootedDecomposition(v, branches, i, j, emb))
     return PatternClass(UNKNOWN)

@@ -30,7 +30,7 @@ from .copies import (
     find_rooted_copy,
 )
 from .errors import VerificationError
-from .graphs import CopyHypergraph, Digraph, Graph, Pattern, WeightedGraph
+from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph
 from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
 from .oracle import verify_goodness
@@ -120,7 +120,7 @@ def _route(
             emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=positive)
             if emb is not None:
                 arcs.update((u, w) for w in emb if w != u)
-        colors = color_digraph(Digraph(g.n, frozenset(arcs)), k - 1).colors
+        colors = color_digraph(g.n, arcs, k - 1)
         if len(set(colors)) > 2 * k - 1:
             raise VerificationError("conflict colouring used too many colours")
         if any(colors[u] == colors[w] for u, w in arcs):

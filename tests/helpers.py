@@ -7,7 +7,15 @@ import random
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from hitset import Graph, Pattern, WeightedGraph, random_graph
+from hitset import (
+    CopyHypergraph,
+    FractionalCover,
+    FractionalMatching,
+    Graph,
+    Pattern,
+    WeightedGraph,
+    random_graph,
+)
 
 
 def path_graph(n: int) -> Graph:
@@ -192,3 +200,27 @@ def base_graph_corpus() -> list[tuple[str, Graph]]:
                             (0, 3), (1, 4), (2, 5)])),
         ("rand6", random_graph(6, 0.5, 11)),
     ]
+
+
+def check_complementary_slackness(
+    cover: FractionalCover,
+    matching: FractionalMatching,
+    hg: CopyHypergraph,
+    weights,
+) -> bool:
+    """True iff positive cover mass forces a tight capacity and positive
+    matching mass forces a tight cover constraint (exact comparisons)."""
+    zero = Fraction(0)
+    load: dict[int, Fraction] = {v: zero for v in hg.covered_vertices()}
+    for e in hg.hyperedges:
+        f = matching.values.get(e, zero)
+        for v in e:
+            load[v] += f
+    for v, g in cover.values.items():
+        if g > 0 and load.get(v, zero) != Fraction(weights[v]):
+            return False
+    for e in hg.hyperedges:
+        f = matching.values.get(e, zero)
+        if f > 0 and sum((cover.values.get(v, zero) for v in e), zero) != 1:
+            return False
+    return True

@@ -15,7 +15,7 @@ from hitset import (
     Pattern,
     SEMI_SYMMETRIC,
     WeightedGraph,
-    check_complementary_slackness,
+    classify_pattern,
     construct_good_graph,
     cover_colored_hypergraph,
     decompose_weights,
@@ -23,7 +23,6 @@ from hitset import (
     enumerate_copies,
     exact_min_hitting_set,
     exact_min_vertex_cover,
-    find_semi_symmetric_cut_vertex,
     gadget_edge_glue,
     gadget_vertex_glue,
     gl_random_instance,
@@ -38,6 +37,7 @@ from hitset import (
 from helpers import (
     all_trees,
     base_graph_corpus,
+    check_complementary_slackness,
     complete_graph,
     cycle_graph,
     hub_branches_pattern,
@@ -161,13 +161,13 @@ def test_criterion_4_goodness_certificates():
     for n in (3, 4, 5, 6):
         for tree in all_trees(n):
             pat = Pattern(tree)
-            d = find_semi_symmetric_cut_vertex(pat)
+            d = classify_pattern(pat).decomposition
             assert d is not None
             good = construct_good_graph(pat, d)
             assert verify_goodness(good, pat)
             count += 1
     hub = hub_branches_pattern()
-    good = construct_good_graph(hub, find_semi_symmetric_cut_vertex(hub))
+    good = construct_good_graph(hub, classify_pattern(hub).decomposition)
     assert good.factor == 8
     assert good.total_weight == 8
     _, min_weight = exact_min_hitting_set(
@@ -227,7 +227,7 @@ def test_criterion_7_decomposition_contract():
         sol = solve(g, pat)
         trace = sol.detail.trace
         assert len(trace.steps) <= g.n
-        good = construct_good_graph(pat, find_semi_symmetric_cut_vertex(pat))
+        good = construct_good_graph(pat, classify_pattern(pat).decomposition)
         recon = list(trace.final_weights)
         for st in trace.steps:
             for x in range(good.graph.n):

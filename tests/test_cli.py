@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from hitset import serialize_graph, unit_weights
+from hitset import ParseError, serialize_graph, unit_weights
 from hitset.cli import main, parse_solution_document
 from helpers import hub_branches_pattern, triangle_square_share_vertex
 
@@ -96,6 +96,9 @@ def test_verify_valid_and_invalid(files, capsys, tmp_path):
 def test_parse_solution_document():
     assert parse_solution_document("weight: 3\nvertices: 2 5 7\n") == (2, 5, 7)
     assert parse_solution_document("vertices:\n") == ()
+    for bad in ("1_0", "\u0662", "x"):
+        with pytest.raises(ParseError, match="line 1: vertices must be integers"):
+            parse_solution_document(f"vertices: 2 {bad}\n")
 
 
 def test_gen_random_deterministic(capsys):

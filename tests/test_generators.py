@@ -144,6 +144,10 @@ def test_parse_hypergraph_text():
         parse_hypergraph_text("h 0 1\n")
     with pytest.raises(ParseError):
         parse_hypergraph_text("p 2 1\nh 0 5\n")
+    assert parse_hypergraph_text("p 4 1\nh +0 01 2\n") == (4, ((0, 1, 2),))
+    for bad in ("1_0", "\u0662", "2.0"):
+        with pytest.raises(ParseError, match="line 2: vertex ids must be integers"):
+            parse_hypergraph_text(f"p 40 1\nh 0 1 {bad}\n")
 
 
 def test_parse_hypergraph_count_mismatch_names_header_line():

@@ -52,6 +52,14 @@ def test_parse_comments_and_blanks():
         ("e 0 1\n", "malformed", 1),
         ("p 2 2\ne 0 1\n", "malformed", 1),
         ("", "malformed", 1),
+        # int() alone takes digit-group underscores and non-ASCII digits
+        ("p 1_1 1\ne \u0663 +4\nw 0 1_0/\u0662\n", "malformed", 1),
+        ("p 11 1\ne \u0663 4\n", "malformed", 2),
+        ("p 11 1\ne 3 4\nw 0 1_0/2\n", "malformed", 3),
+        ("p 11 1\ne 3 4\nw 0 10/\u0662\n", "malformed", 3),
+        ("p 11 1\ne 3 4\nw 0 \uff13\n", "malformed", 3),
+        ("p 11 1\ne 3 4.0\n", "malformed", 2),
+        ("p 11 1\ne 3 4\nw 0 5/\n", "malformed", 3),
     ],
 )
 def test_parse_errors(text, kind, line):
@@ -59,6 +67,15 @@ def test_parse_errors(text, kind, line):
         parse_graph(text)
     assert err.value.kind == kind
     assert err.value.line == line
+
+
+def test_parse_integers_are_ascii():
+    with pytest.raises(ParseError) as err:
+        parse_graph("p 1_1 1\ne \u0663 +4\nw 0 1_0/\u0662\n")
+    assert str(err.value) == "line 1: expected an integer vertex count, got '1_1'"
+    wg = parse_graph("p 011 1\ne 3 +4\nw 0 -0\nw 1 +10/2\n")
+    assert wg.graph == Graph(11, [(3, 4)])
+    assert wg.weights[:2] == (Fraction(0), Fraction(5))
 
 
 def test_serialize_canonical_triangle():

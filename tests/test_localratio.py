@@ -10,10 +10,10 @@ from hitset import (
     Graph,
     Pattern,
     WeightedGraph,
+    classify_pattern,
     construct_good_graph,
     decompose_weights,
     embeddings,
-    find_semi_symmetric_cut_vertex,
     unit_weights,
     verify_solution,
 )
@@ -24,7 +24,7 @@ P3 = Pattern(path_graph(3))
 
 
 def p3_gadget() -> GoodGraph:
-    return construct_good_graph(P3, find_semi_symmetric_cut_vertex(P3))
+    return construct_good_graph(P3, classify_pattern(P3).decomposition)
 
 
 def test_no_copy_no_steps():

@@ -8,11 +8,10 @@ from hitset import (
     CopyHypergraph,
     FractionalCover,
     FractionalMatching,
-    check_complementary_slackness,
     min_weight_cover,
     solve_cover_lp,
 )
-from helpers import random_hypergraph, random_weights
+from helpers import check_complementary_slackness, random_hypergraph, random_weights
 
 UNIT3 = (Fraction(1),) * 3
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -109,6 +110,33 @@ def test_min_weight_cover_zero_weights():
     chosen, weight = min_weight_cover(edges, weights)
     assert weight == 0
     assert set(chosen) >= {0, 2} or 1 in chosen  # hits both edges for free
+
+
+def _least_optimal_cover(edges, weights):
+    """Brute force: the least (weight, sorted vertex tuple) over all covers."""
+    covers = (
+        s
+        for size in range(len(weights) + 1)
+        for s in itertools.combinations(range(len(weights)), size)
+        if all(set(e) & set(s) for e in edges)
+    )
+    weight, best = min((sum((weights[v] for v in s), Fraction(0)), s) for s in covers)
+    return best, weight
+
+
+def test_min_weight_cover_least_optimal_set():
+    # with strictly positive weights no optimal set contains another, so
+    # the lexicographically least optimal tuple is the documented tie-break;
+    # small integer weights make ties common
+    for seed in range(600):
+        rng = random.Random(1300 + seed)
+        n = rng.randint(2, 9)
+        edges = random_hypergraph(rng, n, max_edges=10)
+        if seed % 2:
+            weights = random_weights(rng, n, max_den=2)
+        else:
+            weights = tuple(Fraction(rng.randint(1, 3)) for _ in range(n))
+        assert min_weight_cover(edges, weights) == _least_optimal_cover(edges, weights)
 
 
 def test_min_weight_cover_deterministic():

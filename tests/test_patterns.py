@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -13,11 +14,9 @@ from hitset import (
     branches_at,
     classify_pattern,
     construct_good_graph,
-    find_semi_symmetric_cut_vertex,
+    embeddings,
     induced_subgraph,
-    is_two_connected,
     random_graph,
-    rooted_subgraph_contains,
     verify_goodness,
 )
 from hitset.generators import _glue_edge
@@ -34,6 +33,21 @@ from helpers import (
 
 def _cut_vertices(g: Graph) -> tuple[int, ...]:
     return tuple(v for v in range(g.n) if len(branches_at(g, v)) >= 2)
+
+
+def _two_connected(g: Graph) -> bool:
+    return classify_pattern(Pattern(g)).kind == TWO_CONNECTED
+
+
+def _least_rooted(small: Graph, small_root: int, big: Graph, big_root: int):
+    return min(embeddings(big, small, root=small_root, root_image=big_root), default=None)
+
+
+def _atlas() -> list:
+    """The connected graphs with 2 to 7 vertices from the networkx atlas."""
+    return [
+        x for x in nx.graph_atlas_g() if 2 <= x.number_of_nodes() <= 7 and nx.is_connected(x)
+    ]
 
 
 def test_blocks_triangle():
@@ -59,7 +73,6 @@ def test_blocks_disconnected_rejected():
     g = Graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValueError):
         Pattern(g)
-    assert not is_two_connected(g)
 
 
 def test_blocks_cover_edges_exactly_once():
@@ -82,9 +95,7 @@ def test_blocks_relabel_invariant():
 
 
 def test_cut_structure_matches_networkx():
-    atlas = [
-        x for x in nx.graph_atlas_g() if 2 <= x.number_of_nodes() <= 7 and nx.is_connected(x)
-    ]
+    atlas = _atlas()
     assert len(atlas) == 995
     # a square 0-1-2-3 between two triangles: the first branch in sorted
     # order holds the free edge 0-1 of the square, which is no leaf block
@@ -96,7 +107,7 @@ def test_cut_structure_matches_networkx():
         articulation = set(nx.articulation_points(x))
         assert _cut_vertices(g) == tuple(sorted(articulation))
         if g.n >= 3:
-            assert is_two_connected(g) == nx.is_biconnected(x)
+            assert _two_connected(g) == nx.is_biconnected(x)
         if min(d for _, d in x.degree()) >= 2:
             u, v = _glue_edge(Pattern(g))
             blocks = [b for b in nx.biconnected_components(x) if u in b and v in b]
@@ -106,15 +117,14 @@ def test_cut_structure_matches_networkx():
 
 
 def test_is_two_connected():
-    assert is_two_connected(cycle_graph(4))
-    assert not is_two_connected(path_graph(3))
-    assert not is_two_connected(hub_branches_pattern().graph)
-    assert not is_two_connected(complete_graph(2))
-    assert not is_two_connected(Graph(4, [(0, 1), (2, 3)]))
+    assert _two_connected(cycle_graph(4))
+    assert not _two_connected(path_graph(3))
+    assert not _two_connected(hub_branches_pattern().graph)
+    assert not _two_connected(complete_graph(2))
 
 
 def test_semi_symmetric_path3():
-    d = find_semi_symmetric_cut_vertex(Pattern(path_graph(3)))
+    d = classify_pattern(Pattern(path_graph(3))).decomposition
     assert d.root == 1
     assert d.branches == ((0, 1), (1, 2))
     assert (d.small_index, d.big_index) == (0, 1)
@@ -122,11 +132,11 @@ def test_semi_symmetric_path3():
 
 
 def test_semi_symmetric_triangle_none():
-    assert find_semi_symmetric_cut_vertex(Pattern(complete_graph(3))) is None
+    assert classify_pattern(Pattern(complete_graph(3))).decomposition is None
 
 
 def test_semi_symmetric_hub_pattern():
-    d = find_semi_symmetric_cut_vertex(hub_branches_pattern())
+    d = classify_pattern(hub_branches_pattern()).decomposition
     assert d.root == 2
     assert d.branches == ((0, 1, 2), (2, 3, 4, 5), (2, 6, 7, 8))
     assert (d.small_index, d.big_index) == (0, 1)
@@ -136,7 +146,7 @@ def test_semi_symmetric_hub_pattern():
 def test_semi_symmetric_every_tree_has_one():
     for n in (3, 4, 5, 6):
         for tree in all_trees(n):
-            assert find_semi_symmetric_cut_vertex(Pattern(tree)) is not None
+            assert classify_pattern(Pattern(tree)).decomposition is not None
 
 
 def test_degree_one_vertex_always_gives_decomposition():
@@ -149,7 +159,7 @@ def test_degree_one_vertex_always_gives_decomposition():
             continue
         pendant = Graph(7, list(core.edges) + [(seed % 6, 6)])
         p = Pattern(pendant)
-        d = find_semi_symmetric_cut_vertex(p)
+        d = classify_pattern(p).decomposition
         assert d is not None
         assert verify_goodness(construct_good_graph(p, d), p)
 
@@ -157,15 +167,15 @@ def test_degree_one_vertex_always_gives_decomposition():
 def test_rooted_containment_edge_into_triangle():
     edge = Graph(2, [(0, 1)])
     tri = complete_graph(3)
-    assert rooted_subgraph_contains(edge, 0, tri, 0) == (0, 1)
+    assert _least_rooted(edge, 0, tri, 0) == (0, 1)
 
 
 def test_rooted_containment_triangle_into_square():
-    assert rooted_subgraph_contains(complete_graph(3), 0, cycle_graph(4), 0) is None
+    assert _least_rooted(complete_graph(3), 0, cycle_graph(4), 0) is None
 
 
 def test_rooted_containment_too_big():
-    assert rooted_subgraph_contains(cycle_graph(4), 0, complete_graph(3), 0) is None
+    assert _least_rooted(cycle_graph(4), 0, complete_graph(3), 0) is None
 
 
 def _least_rooted_map(small: Graph, small_root: int, big: Graph, big_root: int):
@@ -200,7 +210,7 @@ def test_rooted_containment_matches_brute_force():
     for small, small_root in rooted:
         for big, big_root in rooted:
             expected = _least_rooted_map(small, small_root, big, big_root)
-            assert rooted_subgraph_contains(small, small_root, big, big_root) == expected
+            assert _least_rooted(small, small_root, big, big_root) == expected
             found += expected is not None
             missing += expected is None
     assert found > 100 and missing > 100
@@ -208,7 +218,7 @@ def test_rooted_containment_matches_brute_force():
 
 def test_good_graph_path3():
     p = Pattern(path_graph(3))
-    good = construct_good_graph(p, find_semi_symmetric_cut_vertex(p))
+    good = construct_good_graph(p, classify_pattern(p).decomposition)
     assert good.graph == Graph(4, [(0, 1), (1, 2), (1, 3)])
     assert good.weights == (Fraction(1, 2), Fraction(1), Fraction(1, 2), Fraction(1, 2))
     assert good.factor == Fraction(5, 2)
@@ -217,7 +227,7 @@ def test_good_graph_path3():
 
 def test_good_graph_hub_pattern():
     p = hub_branches_pattern()
-    good = construct_good_graph(p, find_semi_symmetric_cut_vertex(p))
+    good = construct_good_graph(p, classify_pattern(p).decomposition)
     assert good.graph.n == 12
     halves = [v for v in range(12) if good.weights[v] == Fraction(1, 2)]
     ones = [v for v in range(12) if good.weights[v] == Fraction(1)]
@@ -228,7 +238,7 @@ def test_good_graph_hub_pattern():
 
 def test_good_graph_star_center():
     p = Pattern(star_graph(3))
-    good = construct_good_graph(p, find_semi_symmetric_cut_vertex(p))
+    good = construct_good_graph(p, classify_pattern(p).decomposition)
     assert good.graph == Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert sorted(good.weights) == [Fraction(1, 2)] * 3 + [Fraction(1)] * 2
     assert good.weights[0] == 1  # the hub keeps full weight
@@ -240,11 +250,24 @@ def test_good_graph_star_center():
 def test_good_graph_certified_for_trees(n):
     for tree in all_trees(n):
         p = Pattern(tree)
-        d = find_semi_symmetric_cut_vertex(p)
+        d = classify_pattern(p).decomposition
         good = construct_good_graph(p, d)
         small = d.branches[d.small_index]
         assert good.total_weight == Fraction(p.k) - Fraction(len(small) - 1, 2)
         assert verify_goodness(good, p)
+
+
+def test_classification_golden_on_atlas():
+    # pins kind, root, branch order, the (i, j) pair and the witness map
+    digest = hashlib.sha256()
+    for x in _atlas():
+        cls = classify_pattern(Pattern(Graph(x.number_of_nodes(), list(x.edges()))))
+        d = cls.decomposition
+        key = (cls.kind, d and (d.root, d.branches, d.small_index, d.big_index, d.embedding))
+        digest.update(repr(key).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "d1fbc7ef0a4292676bb700201feccb1b06abd1eb327b419e5362c9805c33b975"
+    )
 
 
 def test_classify():

@@ -10,10 +10,10 @@ from hitset import (
     SEMI_SYMMETRIC,
     TWO_CONNECTED,
     UNKNOWN,
+    classify_pattern,
     enumerate_copies,
     exact_min_hitting_set,
     find_rooted_copy,
-    find_semi_symmetric_cut_vertex,
     solve,
     solve_baseline,
     unit_weights,
@@ -132,7 +132,7 @@ def test_factor_guarantee_small_corpus(seed):
 @pytest.mark.parametrize("seed", range(4))
 def test_residual_copies_bichromatic_and_spokes_blocked(seed):
     g = unit_weights(random_graph(10, 0.5, 8000 + seed))
-    d = find_semi_symmetric_cut_vertex(P3)
+    d = classify_pattern(P3).decomposition
     sol = solve(g, P3)
     detail = sol.detail
     positive = frozenset(detail.residual_vertices)
@@ -266,7 +266,7 @@ def test_non_tree_semi_symmetric_pattern():
     from hitset import construct_good_graph, gadget_edge_glue
 
     hub = hub_branches_pattern()
-    good = construct_good_graph(hub, find_semi_symmetric_cut_vertex(hub))
+    good = construct_good_graph(hub, classify_pattern(hub).decomposition)
     host = unit_weights(good.graph)  # the gadget itself hosts copies
     sol = solve(host, hub)
     assert sol.classification == SEMI_SYMMETRIC
