@@ -53,7 +53,6 @@ from .oracle import (
     verify_goodness,
 )
 from .patterns import (
-    GoodGraph,
     PatternClass,
     RootedDecomposition,
     SEMI_SYMMETRIC,

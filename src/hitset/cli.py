@@ -32,7 +32,7 @@ from .generators import (
     random_graph,
     serialize_tagged_graph,
 )
-from .graphs import _INTEGER, Pattern, WeightedGraph, parse_graph, serialize_graph, unit_weights
+from .graphs import _INTEGER, Pattern, _parse_int, parse_graph, serialize_graph, unit_weights
 from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
 from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, guaranteed_factor, solve, solve_baseline, verify_solution
@@ -91,7 +91,7 @@ def parse_solution_document(text: str) -> tuple[int, ...]:
             fields = body.split()
             if not all(_INTEGER.fullmatch(x) for x in fields):
                 raise ParseError(lineno, "malformed", "vertices must be integers")
-            return tuple(map(int, fields))
+            return tuple(_parse_int(x, lineno, "vertex id") for x in fields)
     raise ParseError(1, "malformed", "no 'vertices:' line in solution document")
 
 
@@ -139,10 +139,11 @@ def _cmd_analyze(args) -> int:
         out += f"# branch {i}: {' '.join(map(str, branch))}\n"
     witness = " ".join(f"{a}->{b}" for a, b in d.embedding)
     out += f"# witness: branch {d.small_index} into branch {d.big_index} via {witness}\n"
-    out += f"# gadget factor: {good.factor}\n"
-    out += f"# gadget total weight: {good.total_weight}\n"
+    total = sum(good.weights)
+    out += f"# gadget factor: {total}\n"
+    out += f"# gadget total weight: {total}\n"
     out += "# gadget graph:\n"
-    for line in serialize_graph(WeightedGraph(good.graph, good.weights)).splitlines():
+    for line in serialize_graph(good).splitlines():
         out += f"# {line}\n"
     sys.stdout.write(out)
     return 0

@@ -19,7 +19,7 @@ class ParseError(HitSetError):
 
 
 class BudgetExceededError(HitSetError):
-    """Copy enumeration hit its budget; the result would be incomplete."""
+    """Copy enumeration or weight decomposition hit its budget; the message names which."""
 
 
 class InvalidColoringError(HitSetError):

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graphs import Edge, Graph, Pattern, normalize_edge, serialize_graph, unit_weights
-from .graphs import _INTEGER, _read_lines
+from .graphs import _INTEGER, _parse_int, _read_lines
 from .patterns import branches_at
 
 
@@ -229,7 +229,7 @@ def parse_hypergraph_text(text: str | bytes) -> tuple[int, tuple[tuple[int, ...]
     def on_line(lineno: int, fields: list[str], n: int) -> None:
         if not all(_INTEGER.fullmatch(x) for x in fields[1:]):
             raise ParseError(lineno, "malformed", "vertex ids must be integers")
-        vs = tuple(map(int, fields[1:]))
+        vs = tuple(_parse_int(x, lineno, "vertex id") for x in fields[1:])
         if not vs:
             raise ParseError(lineno, "malformed", "empty hyperedge")
         for v in vs:

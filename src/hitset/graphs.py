@@ -1,4 +1,4 @@
-"""Core graph, weighted graph, digraph and hypergraph types with text I/O.
+"""Core graph, pattern, weighted graph and hypergraph types with text I/O.
 
 All weights are exact ``fractions.Fraction`` values; solver code never
 touches floating point.  The instance text format is line oriented:
@@ -56,9 +56,6 @@ class Graph:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edges
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
@@ -178,7 +175,10 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 def _parse_int(text: str, lineno: int, what: str) -> int:
     if not _INTEGER.fullmatch(text):
         raise ParseError(lineno, "malformed", f"expected an integer {what}, got {text!r}")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+        raise ParseError(lineno, "malformed", f"integer {what} has too many digits") from None
 
 
 def _parse_weight(text: str, lineno: int) -> Fraction:
@@ -206,7 +206,12 @@ def _read_lines(
     after the header.  Returns n, m and the header's line number.
     """
     if isinstance(text, (bytes, bytearray)):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number lines as str.splitlines does; 'x' stands in for the bad byte
+            lineno = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(lineno, "malformed", "text is not valid UTF-8") from None
     n = m = None
     header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):

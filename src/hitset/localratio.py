@@ -6,8 +6,9 @@ nonnegative.  Each step zeroes at least one vertex, so there are at most
 |V| steps.  The zero-weight vertices collected at the end can join a
 hitting set for free, and the positive residual contains no gadget copy.
 
-The subtracted amounts certify a lower bound: any hitting set must carry
-at least total/factor of each subtracted gadget's weight.
+The subtracted amounts certify a lower bound: every hitting set of the
+gadget weighs at least 1, so any hitting set of the host carries at least
+the sum of the scales.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from fractions import Fraction
 from .copies import EnumerationBudget, embeddings
 from .errors import VerificationError
 from .graphs import WeightedGraph
-from .patterns import GoodGraph
 
 
 @dataclass(frozen=True)
@@ -40,15 +40,14 @@ class DecompositionTrace:
     final_weights: tuple[Fraction, ...]
     zero_set: frozenset[int]
 
-    def dual_bound(self, good: GoodGraph) -> Fraction:
+    def dual_bound(self) -> Fraction:
         """Lower bound on the optimum certified by the subtractions."""
-        scales = sum((st.scale for st in self.steps), Fraction(0))
-        return scales * good.total_weight / good.factor
+        return sum((st.scale for st in self.steps), Fraction(0))
 
 
 def decompose_weights(
     g: WeightedGraph,
-    good: GoodGraph,
+    good: WeightedGraph,
     budget: EnumerationBudget | None = None,
 ) -> DecompositionTrace:
     """Run the subtraction loop until no gadget sits on positive weights.

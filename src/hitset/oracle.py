@@ -20,7 +20,6 @@ from typing import Sequence
 
 from .copies import EnumerationBudget, build_copy_hypergraph
 from .graphs import Graph, Pattern, WeightedGraph
-from .patterns import GoodGraph
 
 DEFAULT_CAP = 20
 _ZERO = Fraction(0)
@@ -184,9 +183,7 @@ def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     return best[0]
 
 
-def verify_goodness(good: GoodGraph, h: Pattern) -> bool:
-    """Exhaustively check that every hitting set of the gadget carries at
-    least total_weight / factor of its weight."""
-    wg = WeightedGraph(good.graph, good.weights)
-    _, weight = exact_min_hitting_set(wg, h, cap=good.graph.n)
-    return weight >= good.total_weight / good.factor
+def verify_goodness(good: WeightedGraph, h: Pattern) -> bool:
+    """Exhaustively check that every hitting set of the gadget weighs at least 1."""
+    _, weight = exact_min_hitting_set(good, h, cap=good.n)
+    return weight >= 1

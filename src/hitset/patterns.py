@@ -4,7 +4,7 @@ A cut vertex v of the pattern splits it into branches (the components of
 the pattern minus v, each with v re-attached).  When one branch embeds
 into another as v-rooted graphs, the pattern admits a weighted gadget:
 the pattern plus a second copy of the larger branch hung on v.  Every
-hitting set of that gadget carries at least 1/t of its total weight,
+gadget is normalised so that each of its hitting sets weighs at least 1,
 which is what the local-ratio phase needs.
 """
 
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .copies import embeddings
-from .graphs import Graph, Pattern, as_fraction, induced_subgraph, normalize_edge
+from .graphs import Graph, Pattern, WeightedGraph, induced_subgraph, normalize_edge, unit_weights
 
 SEMI_SYMMETRIC = "semi-symmetric"
 TWO_CONNECTED = "two-connected"
@@ -78,42 +78,17 @@ def _branch_embedding(
     return tuple((small_ids[u], big_ids[mapping[u]]) for u in range(len(small_ids)))
 
 
-@dataclass(frozen=True)
-class GoodGraph:
-    """A gadget graph with weights certifying a goodness factor.
+def construct_good_graph(p: Pattern, d: RootedDecomposition | None) -> WeightedGraph:
+    """A gadget whose every hitting set weighs at least 1.
 
-    Every hitting set of the gadget (w.r.t. the pattern) must carry at
-    least total_weight / factor of the weight; ``verify_goodness`` in the
-    oracle module checks this exhaustively.
+    Without a decomposition it is the pattern with unit weights.  With
+    one it is the pattern plus a fresh copy of the big branch hung on the
+    root: vertices of the small branch, the big branch and the new copy
+    get weight 1/2 (the root and everything else weight 1), for a total
+    of k - (|small| - 1)/2.
     """
-
-    graph: Graph
-    weights: tuple[Fraction, ...]
-    factor: Fraction
-
-    def __post_init__(self):
-        ws = tuple(as_fraction(w) for w in self.weights)
-        if len(ws) != self.graph.n:
-            raise ValueError("need exactly one weight per vertex")
-        if any(w < 0 for w in ws):
-            raise ValueError("weights must be nonnegative")
-        object.__setattr__(self, "weights", ws)
-        object.__setattr__(self, "factor", as_fraction(self.factor))
-        if self.factor <= 0:
-            raise ValueError("factor must be positive")
-
-    @property
-    def total_weight(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-
-def construct_good_graph(p: Pattern, d: RootedDecomposition) -> GoodGraph:
-    """Pattern plus a fresh copy of the big branch hung on the root.
-
-    Vertices of the small branch, the big branch and the new copy get
-    weight 1/2 (the root and everything else weight 1).  The certified
-    factor is k - (|small| - 1)/2, which equals the total weight.
-    """
+    if d is None:
+        return unit_weights(p.graph)
     h = p.graph
     v = d.root
     small = d.branches[d.small_index]
@@ -135,8 +110,7 @@ def construct_good_graph(p: Pattern, d: RootedDecomposition) -> GoodGraph:
     weights = [Fraction(1)] * nxt
     for u in halves:
         weights[u] = Fraction(1, 2)
-    factor = Fraction(p.k) - Fraction(len(small) - 1, 2)
-    return GoodGraph(gadget, tuple(weights), factor)
+    return WeightedGraph(gadget, tuple(weights))
 
 
 @dataclass(frozen=True)

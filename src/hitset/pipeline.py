@@ -1,13 +1,13 @@
 """End-to-end solvers with per-instance certificates.
 
-One route serves every pattern: subtract a gadget whose goodness is
-certified by the exact oracle until the residual is gadget-free, then,
-when the pattern has a semi-symmetric cut vertex, colour a conflict
-digraph built from one chosen copy per central vertex and run the
-colour-guided cover with a palette of 2k.  With such a cut vertex the
-gadget is the branch gadget and the factor is k - 1/2; otherwise the
-pattern itself, with unit weights, is a k-good gadget and the zero set
-of the subtraction is the whole answer.
+One route serves every pattern: subtract a gadget, certified by the
+exact oracle to weigh at least 1 on each of its hitting sets, until the
+residual is gadget-free, then, when the pattern has a semi-symmetric cut
+vertex, colour a conflict digraph built from one chosen copy per central
+vertex and run the colour-guided cover with a palette of 2k.  With such
+a cut vertex the gadget is the branch gadget and the factor is k - 1/2;
+otherwise the gadget is the pattern itself with unit weights and the
+zero set of the subtraction is the whole answer.
 
 ``solve`` checks its result against its full copy enumeration; a
 failure there raises VerificationError and means a bug, never bad
@@ -35,7 +35,6 @@ from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
 from .oracle import verify_goodness
 from .patterns import (
-    GoodGraph,
     PatternClass,
     RootedDecomposition,
     UNKNOWN,
@@ -95,10 +94,7 @@ def _route(
     with none, those three have nothing to do.
     """
     k, d = h.k, cls.decomposition
-    if d is None:
-        good = GoodGraph(h.graph, (Fraction(1),) * k, Fraction(k))
-    else:
-        good = construct_good_graph(h, d)
+    good = construct_good_graph(h, d)
     if not verify_goodness(good, h):
         raise VerificationError("gadget failed its goodness certificate")
     trace = decompose_weights(g, good, budget)
@@ -149,7 +145,7 @@ def _route(
     return Solution(
         hitting_set=hitting,
         weight=g.total(hitting),
-        lower_bound=max(trace.dual_bound(good), tau_star),
+        lower_bound=max(trace.dual_bound(), tau_star),
         guaranteed_factor=guaranteed_factor(h, d),
         classification=cls.kind,
         warning=warning,
@@ -160,7 +156,7 @@ def _route(
 def solve_baseline(
     g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> Solution:
-    """Plain k-factor route: the pattern itself is a k-good gadget."""
+    """Plain k-factor route: the gadget is the pattern with unit weights."""
     return _route(g, h, PatternClass("baseline"), (), budget)
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from hitset import ParseError, serialize_graph, unit_weights
 from hitset.cli import main, parse_solution_document
-from helpers import hub_branches_pattern, triangle_square_share_vertex
+from helpers import hub_branches_pattern, too_many_digits, triangle_square_share_vertex
 
 K3_TEXT = "p 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 P3_TEXT = "p 3 2\ne 0 1\ne 1 2\n"
@@ -101,6 +101,13 @@ def test_parse_solution_document():
             parse_solution_document(f"vertices: 2 {bad}\n")
 
 
+def test_parse_solution_document_too_many_digits():
+    with pytest.raises(ParseError) as err:
+        parse_solution_document(f"weight: 1\nvertices: 0 {too_many_digits()}\n")
+    assert err.value.kind == "malformed"
+    assert str(err.value) == "line 2: integer vertex id has too many digits"
+
+
 def test_gen_random_deterministic(capsys):
     code, first, _ = run(capsys, "gen", "random", "--n", "6", "--p", "0.5", "--seed", "9")
     assert code == 0
@@ -155,6 +162,15 @@ def test_parse_error_exit_code(files, capsys, tmp_path):
     code, _, err = run(capsys, "solve", bad, p3)
     assert code == 2
     assert "line 1" in err
+
+
+def test_parse_error_too_many_digits_exit_code(files, capsys, tmp_path):
+    _, _, p3, _ = files
+    bad = tmp_path / "bad.graph"
+    bad.write_text(f"p 2 1\ne 0 1\nw 0 {too_many_digits()}\n")
+    code, out, err = run(capsys, "solve", bad, p3)
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: integer weight numerator has too many digits\n"
 
 
 def test_budget_exit_code(files, capsys, tmp_path):

@@ -17,7 +17,7 @@ from hitset import (
     unit_weights,
 )
 from hitset.generators import parse_hypergraph_text
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import complete_graph, cycle_graph, path_graph, too_many_digits
 
 P3 = Pattern(path_graph(3))
 K3 = Pattern(complete_graph(3))
@@ -148,6 +148,17 @@ def test_parse_hypergraph_text():
     for bad in ("1_0", "\u0662", "2.0"):
         with pytest.raises(ParseError, match="line 2: vertex ids must be integers"):
             parse_hypergraph_text(f"p 40 1\nh 0 1 {bad}\n")
+
+
+def test_parse_hypergraph_bad_integers_and_bytes_are_malformed():
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph_text(f"p 2 1\nh 0 {too_many_digits()}\n")
+    assert err.value.kind == "malformed"
+    assert str(err.value) == "line 2: integer vertex id has too many digits"
+    with pytest.raises(ParseError) as err:
+        parse_hypergraph_text(b"p 2 1\nh 0 \xff\n")
+    assert (err.value.line, err.value.kind) == (2, "malformed")
+    assert parse_hypergraph_text(b"p 2 1\nh 0 1\n") == (2, ((0, 1),))
 
 
 def test_parse_hypergraph_count_mismatch_names_header_line():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hitset import (
     CopyHypergraph,
@@ -14,6 +14,11 @@ from hitset import (
     serialize_graph,
     unit_weights,
 )
+from hitset.cli import parse_solution_document
+from hitset.generators import parse_hypergraph_text
+from helpers import too_many_digits
+
+PARSE_ERROR_KINDS = {"malformed", "vertex-range", "duplicate-edge", "negative-weight"}
 
 
 def test_parse_triangle():
@@ -60,6 +65,9 @@ def test_parse_comments_and_blanks():
         ("p 11 1\ne 3 4\nw 0 \uff13\n", "malformed", 3),
         ("p 11 1\ne 3 4.0\n", "malformed", 2),
         ("p 11 1\ne 3 4\nw 0 5/\n", "malformed", 3),
+        # bytes that are not UTF-8; lines are numbered as str.splitlines does
+        (b"p 2 1\ne 0 1\n# caf\xe9\n", "malformed", 3),
+        (b"p 2 1\r\ne 0\x0b \xff 1\n", "malformed", 3),
     ],
 )
 def test_parse_errors(text, kind, line):
@@ -76,6 +84,13 @@ def test_parse_integers_are_ascii():
     wg = parse_graph("p 011 1\ne 3 +4\nw 0 -0\nw 1 +10/2\n")
     assert wg.graph == Graph(11, [(3, 4)])
     assert wg.weights[:2] == (Fraction(0), Fraction(5))
+
+
+def test_parse_too_many_digits_is_malformed():
+    with pytest.raises(ParseError) as err:
+        parse_graph(f"p 2 1\ne 0 1\nw 0 {too_many_digits()}\n")
+    assert err.value.kind == "malformed"
+    assert str(err.value) == "line 3: integer weight numerator has too many digits"
 
 
 def test_serialize_canonical_triangle():
@@ -125,6 +140,55 @@ def weighted_graphs(draw, max_n=8):
 @settings(max_examples=80, deadline=None)
 def test_roundtrip(wg):
     assert parse_graph(serialize_graph(wg)) == wg
+
+
+@given(
+    weighted_graphs(),
+    st.lists(st.fractions(min_value=0, max_denominator=10**20), min_size=8, max_size=8),
+    st.booleans(),
+)
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_roundtrip_fractional_weights(wg, weights, as_bytes):
+    wg = WeightedGraph(wg.graph, weights[: wg.n])
+    text = serialize_graph(wg)
+    assert parse_graph(text.encode() if as_bytes else text) == wg
+
+
+# documents of a header and short lines get past the header far more often than raw text
+_fields = st.one_of(
+    st.sampled_from(("0", "1", "2")),
+    st.sampled_from(("-1", "+2", "3/2", "-1/2", "1/0", "1_0", "\u0663", "x", "#")),
+)
+_lines = st.builds(
+    lambda tag, fields: " ".join((tag, *fields)),
+    st.sampled_from(("e", "e", "w", "h", "p", "vertices:", "")),
+    st.lists(_fields, min_size=1, max_size=3),
+)
+_documents = st.builds(
+    lambda n, m, lines: "\n".join((f"p {n} {m}", *lines)),
+    st.sampled_from(("1", "2", "3", "x")),
+    st.sampled_from(("0", "1", "2")),
+    st.lists(_lines, max_size=6),
+)
+_texts = st.one_of(st.text(max_size=120), _documents)
+
+
+@given(st.one_of(_texts, _texts.map(str.encode), st.binary(max_size=120)))
+@example("p 2 1\ne 0 1\nw 0 " + "7" * 5000 + "\n")
+@example("p 2 1\nh 0 " + "7" * 5000 + "\n")
+@example("vertices: 0 " + "7" * 5000 + "\n")
+@example(b"p 2 1\ne 0 1\nw 0 \xff\n")
+@example(b"p 2 1\nh 0 \xff\n")
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_parsers_raise_only_documented_parse_errors(data):
+    parsers = [parse_graph, parse_hypergraph_text]
+    if isinstance(data, str):
+        parsers.append(parse_solution_document)
+    for parse in parsers:
+        try:
+            parse(data)
+        except ParseError as exc:
+            assert exc.kind in PARSE_ERROR_KINDS
 
 
 @given(

@@ -6,7 +6,6 @@ import pytest
 from hitset import (
     BudgetExceededError,
     EnumerationBudget,
-    GoodGraph,
     Graph,
     Pattern,
     WeightedGraph,
@@ -23,7 +22,7 @@ from helpers import complete_graph, path_graph, star_graph
 P3 = Pattern(path_graph(3))
 
 
-def p3_gadget() -> GoodGraph:
+def p3_gadget() -> WeightedGraph:
     return construct_good_graph(P3, classify_pattern(P3).decomposition)
 
 
@@ -86,7 +85,7 @@ def test_steps_zero_vertices_monotonically():
 
 
 def test_goodness_transfer_bound():
-    # every hitting set pays at least scale * total / factor inside each copy
+    # every hitting set pays at least the scale inside each gadget copy
     g = unit_weights(star_graph(3))
     good = p3_gadget()
     trace = decompose_weights(g, good)
@@ -94,7 +93,7 @@ def test_goodness_transfer_bound():
     st = trace.steps[0]
     image = set(st.embedding)
     inverse = {st.embedding[x]: x for x in range(good.graph.n)}
-    floor = st.scale * good.total_weight / good.factor
+    floor = st.scale
     for r in range(g.n + 1):
         for combo in itertools.combinations(range(g.n), r):
             if not verify_solution(g.graph, P3, combo):
@@ -132,7 +131,7 @@ def test_find_positive_copy_identity():
 
 
 def test_find_positive_copy_blocked_by_zero():
-    tri = GoodGraph(complete_graph(3), (Fraction(1),) * 3, Fraction(3))
+    tri = unit_weights(complete_graph(3))
     host = WeightedGraph(complete_graph(3), (Fraction(1), Fraction(1), Fraction(0)))
     assert decompose_weights(host, tri).steps == ()
 
@@ -145,13 +144,13 @@ def test_find_positive_copy_host_too_small():
 
 def test_multiple_goods_scanned_in_order():
     # the bare pattern as the gadget: claw-free hosts still shrink
-    bare = GoodGraph(P3.graph, (Fraction(1),) * 3, Fraction(3))
+    bare = unit_weights(P3.graph)
     g = unit_weights(path_graph(4))  # no claw, but paths of three exist
     assert decompose_weights(g, p3_gadget()).steps == ()
     trace = decompose_weights(g, bare)
     assert trace.steps
     positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
     assert not any(True for _ in embeddings(g.graph, P3.graph, allowed=positive))
-    assert trace.dual_bound(bare) == sum(
+    assert trace.dual_bound() == sum(
         (st.scale for st in trace.steps), Fraction(0)
     )

@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from hitset import (
-    GoodGraph,
     Graph,
     Pattern,
     WeightedGraph,
@@ -19,6 +18,7 @@ from hitset import random_graph
 from helpers import (
     complete_graph,
     cycle_graph,
+    has_edge,
     naive_min_hitting,
     naive_min_vertex_cover,
     path_graph,
@@ -78,7 +78,7 @@ def test_vertex_cover_double_oracle(seed):
 def test_monotone_in_edges(seed):
     rng = random.Random(500 + seed)
     g = random_graph(8, 0.35, 300 + seed)
-    candidates = [(u, v) for u in range(8) for v in range(u + 1, 8) if not g.has_edge(u, v)]
+    candidates = [(u, v) for u in range(8) for v in range(u + 1, 8) if not has_edge(g, u, v)]
     if not candidates:
         return
     extra = rng.choice(candidates)
@@ -91,10 +91,10 @@ def test_monotone_in_edges(seed):
 def test_verify_goodness_star_gadget():
     gadget = Graph(4, [(0, 1), (1, 2), (1, 3)])
     halves = (Fraction(1, 2), Fraction(1), Fraction(1, 2), Fraction(1, 2))
-    assert verify_goodness(GoodGraph(gadget, halves, Fraction(5, 2)), P3)
-    # a larger factor is a weaker claim, a smaller one fails
-    assert verify_goodness(GoodGraph(gadget, halves, Fraction(3)), P3)
-    assert not verify_goodness(GoodGraph(gadget, halves, Fraction(2)), P3)
+    assert verify_goodness(WeightedGraph(gadget, halves), P3)
+    # every hitting set weighs exactly 1 at best: scaled up it passes, down it fails
+    assert verify_goodness(WeightedGraph(gadget, [w * Fraction(6, 5) for w in halves]), P3)
+    assert not verify_goodness(WeightedGraph(gadget, [w * Fraction(4, 5) for w in halves]), P3)
 
 
 def test_cap_enforced():

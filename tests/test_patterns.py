@@ -15,6 +15,7 @@ from hitset import (
     classify_pattern,
     construct_good_graph,
     embeddings,
+    exact_min_hitting_set,
     induced_subgraph,
     random_graph,
     verify_goodness,
@@ -24,6 +25,7 @@ from helpers import (
     all_trees,
     complete_graph,
     cycle_graph,
+    has_edge,
     hub_branches_pattern,
     path_graph,
     star_graph,
@@ -181,7 +183,7 @@ def test_rooted_containment_too_big():
 def _least_rooted_map(small: Graph, small_root: int, big: Graph, big_root: int):
     """Brute force: permutations come in lexicographic order, so the first hit is least."""
     for m in itertools.permutations(range(big.n), small.n):
-        if m[small_root] == big_root and all(big.has_edge(m[a], m[b]) for a, b in small.edges):
+        if m[small_root] == big_root and all(has_edge(big, m[a], m[b]) for a, b in small.edges):
             return m
     return None
 
@@ -221,8 +223,8 @@ def test_good_graph_path3():
     good = construct_good_graph(p, classify_pattern(p).decomposition)
     assert good.graph == Graph(4, [(0, 1), (1, 2), (1, 3)])
     assert good.weights == (Fraction(1, 2), Fraction(1), Fraction(1, 2), Fraction(1, 2))
-    assert good.factor == Fraction(5, 2)
-    assert good.total_weight == good.factor
+    assert sum(good.weights) == Fraction(5, 2)
+    assert exact_min_hitting_set(good, p)[1] == 1
 
 
 def test_good_graph_hub_pattern():
@@ -232,8 +234,7 @@ def test_good_graph_hub_pattern():
     halves = [v for v in range(12) if good.weights[v] == Fraction(1, 2)]
     ones = [v for v in range(12) if good.weights[v] == Fraction(1)]
     assert len(halves) == 8 and len(ones) == 4
-    assert good.total_weight == 8
-    assert good.factor == 8
+    assert sum(good.weights) == 8
 
 
 def test_good_graph_star_center():
@@ -242,7 +243,7 @@ def test_good_graph_star_center():
     assert good.graph == Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
     assert sorted(good.weights) == [Fraction(1, 2)] * 3 + [Fraction(1)] * 2
     assert good.weights[0] == 1  # the hub keeps full weight
-    assert good.factor == Fraction(7, 2)
+    assert sum(good.weights) == Fraction(7, 2)
     assert verify_goodness(good, p)
 
 
@@ -253,7 +254,7 @@ def test_good_graph_certified_for_trees(n):
         d = classify_pattern(p).decomposition
         good = construct_good_graph(p, d)
         small = d.branches[d.small_index]
-        assert good.total_weight == Fraction(p.k) - Fraction(len(small) - 1, 2)
+        assert sum(good.weights) == Fraction(p.k) - Fraction(len(small) - 1, 2)
         assert verify_goodness(good, p)
 
 
