@@ -50,13 +50,25 @@ def _read_pattern(path: str) -> Pattern:
     return Pattern(parse_graph(_read_text(path)).graph)
 
 
+def _rational(x) -> str:
+    """``str(x)``, lifting Python's int-to-str digit limit for this one call only."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(x)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def solution_document(sol: Solution, explain: bool = False) -> str:
     rows = {
         "classification": sol.classification,
-        "guaranteed_factor": str(sol.guaranteed_factor),
-        "lower_bound": str(sol.lower_bound),
+        "guaranteed_factor": _rational(sol.guaranteed_factor),
+        "lower_bound": _rational(sol.lower_bound),
         "vertices": " ".join(map(str, sol.hitting_set)),
-        "weight": str(sol.weight),
+        "weight": _rational(sol.weight),
     }
     if sol.warning is not None:
         rows["warning"] = sol.warning
@@ -65,7 +77,8 @@ def solution_document(sol: Solution, explain: bool = False) -> str:
         d = sol.detail
         for num, st in enumerate(d.trace.steps, start=1):
             image = " ".join(f"{x}->{y}" for x, y in enumerate(st.embedding))
-            lines.append(f"# subtraction step {num}: gadget 0 scale {st.scale} image {image}")
+            scale = _rational(st.scale)
+            lines.append(f"# subtraction step {num}: gadget 0 scale {scale} image {image}")
         lines.append("# zero set: " + " ".join(map(str, sorted(d.trace.zero_set))))
         if d.residual_vertices:
             lines.append("# residual vertices: " + " ".join(map(str, d.residual_vertices)))
@@ -116,7 +129,7 @@ def _cmd_exact(args) -> int:
     vertices, weight = exact_min_hitting_set(
         g, h, cap=args.cap, budget=EnumerationBudget(args.budget)
     )
-    sys.stdout.write(f"vertices: {' '.join(map(str, vertices))}\nweight: {weight}\n")
+    sys.stdout.write(f"vertices: {' '.join(map(str, vertices))}\nweight: {_rational(weight)}\n")
     return 0
 
 
@@ -126,7 +139,7 @@ def _cmd_analyze(args) -> int:
     d = cls.decomposition
     lines = [
         f"classification: {cls.kind}",
-        f"guaranteed_factor: {guaranteed_factor(h, d)}",
+        f"guaranteed_factor: {_rational(guaranteed_factor(h, d))}",
         f"k: {h.k}",
     ]
     if d is None:
@@ -139,7 +152,7 @@ def _cmd_analyze(args) -> int:
         out += f"# branch {i}: {' '.join(map(str, branch))}\n"
     witness = " ".join(f"{a}->{b}" for a, b in d.embedding)
     out += f"# witness: branch {d.small_index} into branch {d.big_index} via {witness}\n"
-    total = sum(good.weights)
+    total = _rational(sum(good.weights))
     out += f"# gadget factor: {total}\n"
     out += f"# gadget total weight: {total}\n"
     out += "# gadget graph:\n"
@@ -214,10 +227,10 @@ def _cmd_bench(args) -> int:
         def ratio(weight):
             if opt is None or opt == 0:
                 return "-"
-            return str(weight / opt)
+            return _rational(weight / opt)
         rows.append(
-            f"r{i:04d}\t{h.k}\t{g.n}\t{base_sol.weight}\t{pipe_sol.weight}"
-            f"\t{opt if opt is not None else '-'}\t{tau}"
+            f"r{i:04d}\t{h.k}\t{g.n}\t{_rational(base_sol.weight)}\t{_rational(pipe_sol.weight)}"
+            f"\t{_rational(opt) if opt is not None else '-'}\t{_rational(tau)}"
             f"\t{ratio(base_sol.weight)}\t{ratio(pipe_sol.weight)}"
         )
     sys.stdout.write(header + "\n" + "\n".join(sorted(rows)) + "\n")

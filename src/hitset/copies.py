@@ -36,7 +36,7 @@ class EnumerationBudget:
 
 def _match_order(h: Graph, root: int | None) -> list[int]:
     """Root (or max-degree vertex) first, then most-anchored-first."""
-    adj = h.adjacency()
+    adj = h.adjacency
     start = root if root is not None else max(range(h.n), key=lambda v: (len(adj[v]), -v))
     order = [start]
     placed = {start}
@@ -75,10 +75,8 @@ def embeddings(
         return
     if (root is None) != (root_image is None):
         raise ValueError("root and root_image must be given together")
-    g_adj = g.adjacency()
-    g_sets = [set(row) for row in g_adj]
-    h_adj = h.adjacency()
-    h_deg = [len(row) for row in h_adj]
+    g_adj = g.adjacency
+    h_adj = h.adjacency
     order = _match_order(h, root)
     pos_of = {hv: i for i, hv in enumerate(order)}
     anchors: list[int] = []
@@ -86,7 +84,7 @@ def embeddings(
     for idx, hv in enumerate(order):
         prior = sorted(pos_of[x] for x in h_adj[hv] if pos_of[x] < idx)
         anchors.append(prior[0] if prior else -1)
-        checks.append(tuple(prior))
+        checks.append(tuple(prior[1:]))  # the anchor is adjacent by construction
 
     image = [-1] * h.n
     used: set[int] = set()
@@ -100,19 +98,18 @@ def embeddings(
             return
         hv = order[idx]
         if idx == 0:
-            base = [root_image] if root_image is not None else (
-                sorted(allowed) if allowed is not None else range(g.n)
-            )
+            base = [root_image] if root_image is not None else range(g.n)
         else:
             base = g_adj[image[anchors[idx]]]
+        deg, check = len(h_adj[hv]), checks[idx]
         for c in base:
             if c in used:
                 continue
             if allowed is not None and c not in allowed:
                 continue
-            if len(g_adj[c]) < h_deg[hv]:
+            if len(g_adj[c]) < deg:
                 continue
-            if any(image[p] not in g_sets[c] for p in checks[idx]):
+            if check and any(image[p] not in g_adj[c] for p in check):
                 continue
             image[idx] = c
             used.add(c)

@@ -68,7 +68,7 @@ def gadget_edge_glue(g: Graph, h: Pattern) -> tuple[Graph, dict[int, tuple[Edge,
     cover of the base.  Provenance maps each new vertex to (base edge,
     pattern vertex).
     """
-    adj = h.graph.adjacency()
+    adj = h.graph.adjacency
     if any(len(row) < 2 for row in adj):
         raise ValueError("edge gadget needs a pattern of minimum degree 2")
     x0, y0 = _glue_edge(h)
@@ -95,7 +95,7 @@ def gadget_vertex_glue(g: Graph, h: Pattern) -> tuple[Graph, dict[int, tuple[int
     equals the minimum vertex cover of the base.  Provenance maps each
     new vertex to (base vertex, pattern vertex).
     """
-    adj = h.graph.adjacency()
+    adj = h.graph.adjacency
     leaves = [v for v in range(h.k) if len(adj[v]) == 1]
     if not leaves:
         raise ValueError("vertex gadget needs a degree-1 pattern vertex")

@@ -13,6 +13,7 @@ dense range 0..n-1.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -60,20 +61,19 @@ class Graph:
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
-    def adjacency(self) -> list[list[int]]:
-        """Per-vertex sorted neighbour lists."""
+    @functools.cached_property
+    def adjacency(self) -> tuple[tuple[int, ...], ...]:
+        """Per-vertex sorted neighbour tuples, built once per graph."""
         adj: list[list[int]] = [[] for _ in range(self.n)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for row in adj:
-            row.sort()
-        return adj
+        return tuple(tuple(sorted(row)) for row in adj)
 
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True
-        adj = self.adjacency()
+        adj = self.adjacency
         seen = {0}
         stack = [0]
         while stack:

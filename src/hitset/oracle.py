@@ -15,6 +15,7 @@ positive weights this is the lexicographically least optimal set.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import Sequence
 
@@ -183,7 +184,11 @@ def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     return best[0]
 
 
+@functools.cache
 def verify_goodness(good: WeightedGraph, h: Pattern) -> bool:
-    """Exhaustively check that every hitting set of the gadget weighs at least 1."""
+    """Exhaustively check that every hitting set of the gadget weighs at least 1.
+
+    Cached by value: each distinct gadget and pattern is checked once per process.
+    """
     _, weight = exact_min_hitting_set(good, h, cap=good.n)
     return weight >= 1

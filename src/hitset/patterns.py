@@ -10,6 +10,7 @@ which is what the local-ratio phase needs.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -44,7 +45,7 @@ def branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:
 
     In a connected graph, v is a cut vertex iff it has two or more branches.
     """
-    adj = h.adjacency()
+    adj = h.adjacency
     seen = {v}
     comps: list[tuple[int, ...]] = []
     for start in range(h.n):
@@ -121,6 +122,7 @@ class PatternClass:
     decomposition: RootedDecomposition | None = None
 
 
+@functools.cache
 def classify_pattern(p: Pattern) -> PatternClass:
     """two-connected, semi-symmetric (improved factor), or unknown.
 
@@ -129,6 +131,7 @@ def classify_pattern(p: Pattern) -> PatternClass:
     vertex whose branch family contains a root-fixing embedding:
     smallest cut vertex, then smallest branch pair (i, j) with i != j,
     branches in canonical order.  Branch equality counts as containment.
+    Cached by value, so each distinct pattern is classified once per process.
     """
     h = p.graph
     table = [branches_at(h, v) for v in range(h.n)]

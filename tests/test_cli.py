@@ -1,10 +1,24 @@
+import json
+import os
+import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from hitset import ParseError, serialize_graph, unit_weights
+import hitset
+from hitset import Graph, ParseError, WeightedGraph, random_graph, serialize_graph, unit_weights
 from hitset.cli import main, parse_solution_document
-from helpers import hub_branches_pattern, too_many_digits, triangle_square_share_vertex
+from helpers import (
+    complete_graph,
+    hub_branches_pattern,
+    path_graph,
+    star_graph,
+    too_many_digits,
+    triangle_square_share_vertex,
+)
 
 K3_TEXT = "p 3 3\ne 0 1\ne 1 2\ne 0 2\n"
 P3_TEXT = "p 3 2\ne 0 1\ne 1 2\n"
@@ -171,6 +185,31 @@ def test_parse_error_too_many_digits_exit_code(files, capsys, tmp_path):
     code, out, err = run(capsys, "solve", bad, p3)
     assert (code, out) == (2, "")
     assert err == "error: line 3: integer weight numerator has too many digits\n"
+
+
+def test_output_past_int_digit_limit(capsys, tmp_path):
+    # valid input: each weight parses, but their sum prints more digits than
+    # Python converts by default
+    if not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 0:
+        pytest.skip("this interpreter converts integers of any length")
+    limit = sys.get_int_max_str_digits()
+    digits = limit * 7 // 10
+    a, b = int("1" + "3" * (digits - 1)), int("1" + "7" * (digits - 1))
+    host = tmp_path / "host.graph"
+    host.write_text(f"p 4 2\ne 0 1\ne 2 3\nw 0 1/{a}\nw 2 1/{b}\n")
+    k2 = tmp_path / "k2.graph"
+    k2.write_text(K2_TEXT)
+    sys.set_int_max_str_digits(0)
+    try:
+        weight = f"weight: {Fraction(1, a) + Fraction(1, b)}\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(weight) > limit
+    for argv in (("solve", host, k2), ("solve", host, k2, "--explain"), ("exact", host, k2)):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert weight in out
+        assert sys.get_int_max_str_digits() == limit
 
 
 def test_budget_exit_code(files, capsys, tmp_path):
@@ -388,3 +427,66 @@ def test_analyze_golden_hub_pattern(capsys, tmp_path):
     hub = tmp_path / "hub.graph"
     hub.write_text(serialize_graph(unit_weights(hub_branches_pattern().graph)))
     assert run(capsys, "analyze", hub) == (0, HUB_ANALYSIS, "")
+
+
+def test_solve_explain_same_with_cold_and_warm_caches(capsys, tmp_path):
+    # classifications and goodness certificates are cached per process; a
+    # document must not depend on what the process solved before
+    patterns = {
+        "p3": path_graph(3),
+        "p4": path_graph(4),
+        "k13": star_graph(3),
+        "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+        "k3": complete_graph(3),
+    }
+    for name, graph in patterns.items():
+        (tmp_path / f"{name}.graph").write_text(serialize_graph(unit_weights(graph)))
+    hosts = []
+    for seed in (1, 2):
+        g = random_graph(16, 0.3, seed)
+        rng = random.Random(seed)
+        for label, wg in (
+            ("unit", unit_weights(g)),
+            ("int", WeightedGraph(g, tuple(rng.randint(1, 5) for _ in range(g.n)))),
+        ):
+            path = tmp_path / f"host{seed}-{label}.graph"
+            path.write_text(serialize_graph(wg))
+            hosts.append(str(path))
+    cases = [
+        ["solve", host, str(tmp_path / f"{name}.graph"), "--explain"]
+        for host in hosts
+        for name in patterns
+    ]
+    # cold: a fresh interpreter, with both caches emptied before every document
+    code = (
+        "import contextlib, io, json, sys\n"
+        "from hitset.cli import main\n"
+        "from hitset.oracle import verify_goodness\n"
+        "from hitset.patterns import classify_pattern\n"
+        "docs = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    classify_pattern.cache_clear()\n"
+        "    verify_goodness.cache_clear()\n"
+        "    out = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out):\n"
+        "        docs.append([main(argv), out.getvalue()])\n"
+        "print(json.dumps(docs))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(hitset.__file__).resolve().parents[1])}
+    fresh = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(cases)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    cold = [tuple(doc) for doc in json.loads(fresh.stdout)]
+    # warm: this process, after solving the corpus and other patterns first
+    (tmp_path / "k14.graph").write_text(serialize_graph(unit_weights(star_graph(4))))
+    c4 = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    (tmp_path / "c4.graph").write_text(serialize_graph(unit_weights(c4)))
+    for host in hosts:
+        for extra in ("k14", "c4"):
+            run(capsys, "solve", host, tmp_path / f"{extra}.graph")
+    for argv in cases:
+        run(capsys, *argv)
+    warm = [run(capsys, *argv)[:2] for argv in cases]
+    assert all(code == 0 for code, _ in cold)
+    assert warm == cold

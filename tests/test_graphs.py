@@ -139,7 +139,17 @@ def weighted_graphs(draw, max_n=8):
 @given(weighted_graphs())
 @settings(max_examples=80, deadline=None)
 def test_roundtrip(wg):
-    assert parse_graph(serialize_graph(wg)) == wg
+    parsed = parse_graph(serialize_graph(wg))
+    assert parsed == wg
+    # the one neighbour index: built once per graph, sorted, equal to the edges
+    g = parsed.graph
+    assert g.adjacency is g.adjacency
+    reference = tuple(
+        tuple(sorted(u for e in g.edges if v in e for u in e if u != v)) for v in range(g.n)
+    )
+    assert type(g.adjacency) is tuple and all(type(row) is tuple for row in g.adjacency)
+    assert g.adjacency == reference
+    assert hash(g) == hash(wg.graph) and g == wg.graph
 
 
 @given(

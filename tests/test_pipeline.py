@@ -20,6 +20,8 @@ from hitset import (
     verify_solution,
 )
 from hitset import random_graph
+from hitset.cli import solution_document
+from hitset.oracle import verify_goodness
 from helpers import (
     all_trees,
     complete_graph,
@@ -175,6 +177,12 @@ def test_budget_charges_each_copy_once_plus_each_step():
     sol = solve(g, P3, budget)
     charged = len(enumerate_copies(g.graph, P3)) + len(sol.detail.trace.steps)
     assert budget.used == charged
+    # a fresh but equal pattern reuses the certificate and charges the same
+    misses = verify_goodness.cache_info().misses
+    again = EnumerationBudget()
+    assert solution_document(solve(g, Pattern(path_graph(3)), again)) == solution_document(sol)
+    assert again.used == charged
+    assert verify_goodness.cache_info().misses == misses
     assert solve(g, P3, EnumerationBudget(max_copies=charged)).hitting_set == sol.hitting_set
     with pytest.raises(BudgetExceededError):
         solve(g, P3, EnumerationBudget(max_copies=charged - 1))
