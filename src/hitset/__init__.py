@@ -17,6 +17,7 @@ from .copies import (
     embeddings,
     enumerate_copies,
     find_rooted_copy,
+    symmetry_pairs,
 )
 from .errors import (
     BudgetExceededError,

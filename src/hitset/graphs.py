@@ -30,6 +30,8 @@ def normalize_edge(u: int, v: int) -> Edge:
 
 def as_fraction(value) -> Fraction:
     """Coerce ints/Fractions to Fraction; floats are rejected outright."""
+    if type(value) is Fraction:  # already normalised and immutable: share it
+        return value
     if isinstance(value, float):
         raise TypeError("weights must be exact rationals, not floats")
     return Fraction(value)
@@ -275,7 +277,8 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
     if len(edges) != m:
         raise ParseError(header_line, "malformed", f"header declares {m} edges, found {len(edges)}")
     graph = Graph(n, frozenset(edges))
-    ws = tuple(weights.get(v, Fraction(1)) for v in range(n))
+    one = Fraction(1)  # shared default: n vertices cost n references, not n objects
+    ws = tuple(weights.get(v, one) for v in range(n))
     return WeightedGraph(graph, ws)
 
 

@@ -28,6 +28,7 @@ from .copies import (
     embeddings,
     enumerate_copies,
     find_rooted_copy,
+    symmetry_pairs,
 )
 from .errors import VerificationError
 from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph
@@ -178,10 +179,11 @@ def solve(
 def verify_solution(g: Graph, h: Pattern, s: Iterable[int]) -> bool:
     """True iff removing ``s`` leaves no copy of the pattern.
 
-    Runs a first-copy search on the residual vertices, so it exits early
-    on invalid solutions and only pays full search cost on valid ones.
+    Runs a symmetry-broken first-copy search on the residual vertices, so
+    it exits early on invalid solutions and, on valid ones, pays for one
+    embedding per copy rather than one per automorphism.
     """
     rest = frozenset(range(g.n)) - set(s)
-    for _ in embeddings(g, h.graph, allowed=rest):
+    for _ in embeddings(g, h.graph, allowed=rest, pairs=symmetry_pairs(h.graph)):
         return False
     return True

@@ -8,6 +8,7 @@ import sys
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
+import networkx as nx
 import pytest
 
 from hitset import (
@@ -59,6 +60,13 @@ def triangle_square_share_vertex() -> Pattern:
     into another, so only the trivial factor applies."""
     edges = [(0, 1), (0, 2), (1, 2), (0, 3), (3, 4), (4, 5), (0, 5)]
     return Pattern(Graph(6, edges))
+
+
+def connected_atlas() -> list[nx.Graph]:
+    """The 995 connected graphs with 2 to 7 vertices from the networkx atlas."""
+    return [
+        x for x in nx.graph_atlas_g() if 2 <= x.number_of_nodes() <= 7 and nx.is_connected(x)
+    ]
 
 
 def _prufer_decode(seq: tuple[int, ...], n: int) -> list[tuple[int, int]]:

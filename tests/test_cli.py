@@ -457,15 +457,17 @@ def test_solve_explain_same_with_cold_and_warm_caches(capsys, tmp_path):
         for host in hosts
         for name in patterns
     ]
-    # cold: a fresh interpreter, with both caches emptied before every document
+    # cold: a fresh interpreter, with every pattern cache emptied before each document
     code = (
         "import contextlib, io, json, sys\n"
         "from hitset.cli import main\n"
+        "from hitset.copies import symmetry_pairs\n"
         "from hitset.oracle import verify_goodness\n"
         "from hitset.patterns import classify_pattern\n"
         "docs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    classify_pattern.cache_clear()\n"
+        "    symmetry_pairs.cache_clear()\n"
         "    verify_goodness.cache_clear()\n"
         "    out = io.StringIO()\n"
         "    with contextlib.redirect_stdout(out):\n"

@@ -1,3 +1,4 @@
+import gc
 import random
 
 import networkx as nx
@@ -13,10 +14,13 @@ from hitset import (
     embeddings,
     enumerate_copies,
     find_rooted_copy,
+    symmetry_pairs,
     unit_weights,
 )
+from hitset.graphs import normalize_edge
 from helpers import (
     complete_graph,
+    connected_atlas,
     cycle_graph,
     is_embedding,
     naive_copy_sets,
@@ -61,6 +65,19 @@ def test_completeness_against_naive(pattern, n, seed):
         assert is_embedding(g, pattern.graph, emb)
         images.add(tuple(sorted(emb)))
     assert images == expected
+
+
+def test_search_state_freed_without_cycle_collector():
+    g = random_graph(12, 0.4, 1)
+    gc.collect()
+    gc.disable()
+    try:
+        list(embeddings(g, P3.graph))
+        next(embeddings(g, P3.graph, allowed=frozenset(range(6))), None)
+        assert find_rooted_copy(g, P3.graph, 1, 0) is not None
+        assert gc.collect() == 0  # every search was freed by reference counting
+    finally:
+        gc.enable()
 
 
 def test_hyperedges_have_pattern_size():
@@ -159,6 +176,7 @@ DIFFERENTIAL_PATTERNS = {
     "P3": path_graph(3),
     "P4": path_graph(4),
     "K1,3": star_graph(3),
+    "K1,5": star_graph(5),
     "K3": complete_graph(3),
     "C4": cycle_graph(4),
     "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
@@ -214,3 +232,64 @@ def test_embeddings_rooted_match_networkx(name):
             for image in range(g.n):
                 got = set(embeddings(g, h, root=root, root_image=image))
                 assert got == {m for m in every if m[root] == image}
+
+
+def _edge_image(h: Graph, emb: tuple[int, ...]) -> frozenset:
+    return frozenset(normalize_edge(emb[u], emb[v]) for u, v in h.edges)
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PATTERNS))
+def test_symmetry_broken_embeddings_match_networkx(name, restricted):
+    h = DIFFERENTIAL_PATTERNS[name]
+    automorphisms = len(_vf2_maps(h, h))
+    total = 0
+    for g, rng in _differential_hosts():
+        allowed = frozenset(rng.sample(range(g.n), g.n - 2)) if restricted else None
+        every = _vf2_maps(g, h, allowed)
+        got = list(embeddings(g, h, allowed=allowed, pairs=symmetry_pairs(h)))
+        assert set(got) <= every
+        # one mapping per copy, i.e. per distinct edge-set image
+        images = [_edge_image(h, emb) for emb in got]
+        assert len(images) == len(set(images))
+        assert set(images) == {_edge_image(h, emb) for emb in every}
+        assert len(got) * automorphisms == len(every)
+        total += len(got)
+    assert total > 0
+
+
+def test_symmetry_pairs_on_atlas():
+    atlas = connected_atlas()
+    assert len(atlas) == 995
+    for x in atlas:
+        h = Graph(x.number_of_nodes(), list(x.edges()))
+        automorphisms = sum(1 for _ in GraphMatcher(x, x).isomorphisms_iter())
+        assert sum(1 for _ in embeddings(h, h)) == automorphisms
+        identity = tuple(range(h.n))
+        assert list(embeddings(h, h, pairs=symmetry_pairs(h))) == [identity]
+
+
+def test_symmetry_pairs_star():
+    # the centre is fixed; the leaves must appear in ascending order
+    assert symmetry_pairs(star_graph(3)) == ((1, 2), (1, 3), (2, 3))
+    assert symmetry_pairs(path_graph(2)) == ((0, 1),)
+
+
+def test_symmetry_pairs_with_root_rejected():
+    h = star_graph(3)
+    with pytest.raises(ValueError, match="pinned root"):
+        list(embeddings(complete_graph(5), h, root=0, root_image=0, pairs=symmetry_pairs(h)))
+
+
+def test_budget_counts_distinct_sets_of_symmetric_pattern():
+    g = random_graph(16, 0.6, 5)
+    k15 = Pattern(star_graph(5))
+    budget = EnumerationBudget()
+    copies = enumerate_copies(g, k15, budget)
+    assert copies == sorted({tuple(sorted(emb)) for emb in embeddings(g, k15.graph)})
+    assert budget.used == len(copies) > 0
+    short = EnumerationBudget(max_copies=len(copies) - 1)
+    message = f"^copy enumeration exceeded the budget of {len(copies) - 1}$"
+    with pytest.raises(BudgetExceededError, match=message):
+        enumerate_copies(g, k15, short)
+    assert short.used == len(copies) - 1

@@ -25,6 +25,8 @@ def test_parse_triangle():
     wg = parse_graph("p 3 3\ne 0 1\ne 1 2\ne 0 2\n")
     assert wg.graph == Graph(3, [(0, 1), (1, 2), (0, 2)])
     assert wg.weights == (Fraction(1),) * 3
+    # one shared default weight, which WeightedGraph keeps rather than copies
+    assert all(w is wg.weights[0] for w in wg.weights)
 
 
 def test_parse_single_vertex():

@@ -24,6 +24,7 @@ from hitset.generators import _glue_edge
 from helpers import (
     all_trees,
     complete_graph,
+    connected_atlas,
     cycle_graph,
     has_edge,
     hub_branches_pattern,
@@ -43,13 +44,6 @@ def _two_connected(g: Graph) -> bool:
 
 def _least_rooted(small: Graph, small_root: int, big: Graph, big_root: int):
     return min(embeddings(big, small, root=small_root, root_image=big_root), default=None)
-
-
-def _atlas() -> list:
-    """The connected graphs with 2 to 7 vertices from the networkx atlas."""
-    return [
-        x for x in nx.graph_atlas_g() if 2 <= x.number_of_nodes() <= 7 and nx.is_connected(x)
-    ]
 
 
 def test_blocks_triangle():
@@ -97,7 +91,7 @@ def test_blocks_relabel_invariant():
 
 
 def test_cut_structure_matches_networkx():
-    atlas = _atlas()
+    atlas = connected_atlas()
     assert len(atlas) == 995
     # a square 0-1-2-3 between two triangles: the first branch in sorted
     # order holds the free edge 0-1 of the square, which is no leaf block
@@ -261,7 +255,7 @@ def test_good_graph_certified_for_trees(n):
 def test_classification_golden_on_atlas():
     # pins kind, root, branch order, the (i, j) pair and the witness map
     digest = hashlib.sha256()
-    for x in _atlas():
+    for x in connected_atlas():
         cls = classify_pattern(Pattern(Graph(x.number_of_nodes(), list(x.edges()))))
         d = cls.decomposition
         key = (cls.kind, d and (d.root, d.branches, d.small_index, d.big_index, d.embedding))
