@@ -4,11 +4,13 @@ Copies are subgraph embeddings (not necessarily induced).  An embedding
 is a tuple whose entry i is the host image of pattern vertex i.
 Backtracking matches pattern vertices in a connectivity-respecting order
 with candidate images tried in ascending id, so enumeration order is
-deterministic.  Full enumeration is symmetry-broken: ordering constraints
-on the images (Grochow & Kellis, RECOMB 2007) admit one embedding per
-subgraph copy instead of one per automorphism of the pattern.  Distinct
-copies are deduplicated by vertex set: copies on the same vertices are
-hit by the same vertices, so one hyperedge per set suffices.
+deterministic.  That order and its checks are prepared once per
+(pattern, root, pairs), so each search does only host work.  Full
+enumeration is symmetry-broken: ordering constraints on the images
+(Grochow & Kellis, RECOMB 2007) admit one embedding per subgraph copy
+instead of one per automorphism of the pattern.  Distinct copies are
+deduplicated by vertex set: copies on the same vertices are hit by the
+same vertices, so one hyperedge per set suffices.
 """
 
 from __future__ import annotations
@@ -38,28 +40,38 @@ class EnumerationBudget:
         self.used += 1
 
 
-def _match_order(h: Graph, root: int | None) -> list[int]:
-    """Root (or max-degree vertex) first, then most-anchored-first."""
+@functools.cache
+def _plan(
+    h: Graph, root: int | None, pairs: tuple[tuple[int, int], ...]
+) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Match plan of ``h``: the position of each pattern vertex, and per position
+    ``(anchor, checks, degree, above, below)``.
+
+    Root (or max-degree vertex) first, then most-anchored-first.  Candidates
+    are the host neighbours of the image at the ``anchor`` position and must
+    be adjacent to the images at the ``checks`` positions.  A pair is enforced
+    when its later-matched vertex is placed: its image must exceed the images
+    at the ``above`` positions and undercut the ``below`` ones.  Cached per
+    (pattern, root, pairs), so each search order is prepared once per process.
+    """
     adj = h.adjacency
     start = root if root is not None else max(range(h.n), key=lambda v: (len(adj[v]), -v))
-    order = [start]
-    placed = {start}
-    while len(order) < h.n:
-        best = None
-        for u in range(h.n):
-            if u in placed:
-                continue
-            anchors = sum(1 for x in adj[u] if x in placed)
-            if anchors == 0:
-                continue
-            key = (anchors, len(adj[u]), -u)
-            if best is None or key > best[0]:
-                best = (key, u)
-        if best is None:
+    pos = {start: 0}  # insertion order is match order
+    while len(pos) < h.n:
+        anchors, _, neg = max(
+            (sum(x in pos for x in adj[u]), len(adj[u]), -u) for u in range(h.n) if u not in pos
+        )
+        if anchors == 0:
             raise ValueError("pattern graph must be connected")
-        order.append(best[1])
-        placed.add(best[1])
-    return order
+        pos[-neg] = len(pos)
+    steps = []
+    for idx, hv in enumerate(pos):
+        prior = sorted(pos[x] for x in adj[hv] if pos[x] < idx)
+        above = tuple(pos[a] for a, b in pairs if b == hv and pos[a] < idx)
+        below = tuple(pos[b] for a, b in pairs if a == hv and pos[b] < idx)
+        # the anchor is adjacent by construction, so only the rest are checked
+        steps.append((prior[0] if prior else -1, tuple(prior[1:]), len(adj[hv]), above, below))
+    return tuple(pos[v] for v in range(h.n)), tuple(steps)
 
 
 def embeddings(
@@ -85,42 +97,21 @@ def embeddings(
     if pairs and root is not None:
         raise ValueError("ordering pairs cannot be combined with a pinned root")
     g_adj = g.adjacency
-    h_adj = h.adjacency
-    order = _match_order(h, root)
-    pos_of = {hv: i for i, hv in enumerate(order)}
-    anchors: list[int] = []
-    checks: list[tuple[int, ...]] = []
-    # a pair is enforced when its later-matched vertex is placed: its image must
-    # exceed the images at the ``above`` positions and undercut the ``below`` ones
-    above: list[list[int]] = []
-    below: list[list[int]] = []
-    for idx, hv in enumerate(order):
-        prior = sorted(pos_of[x] for x in h_adj[hv] if pos_of[x] < idx)
-        anchors.append(prior[0] if prior else -1)
-        checks.append(tuple(prior[1:]))  # the anchor is adjacent by construction
-        above.append([pos_of[a] for a, b in pairs if b == hv and pos_of[a] < idx])
-        below.append([pos_of[b] for a, b in pairs if a == hv and pos_of[b] < idx])
-
-    image = [-1] * h.n
+    where, steps = _plan(h, root, pairs)
+    first = [root_image] if root_image is not None else range(g.n)  # position 0's candidates
+    image = [-1] * h.n  # indexed by match position
     used: set[int] = set()
 
     def extend(idx: int) -> Iterator[tuple[int, ...]]:
         if idx == h.n:
-            mapping = [0] * h.n
-            for pos, hv in enumerate(order):
-                mapping[hv] = image[pos]
-            yield tuple(mapping)
+            yield tuple([image[p] for p in where])
             return
-        hv = order[idx]
-        if idx == 0:
-            base = [root_image] if root_image is not None else range(g.n)
-        else:
-            base = g_adj[image[anchors[idx]]]
-        if above[idx] or below[idx]:  # candidates ascend, so the bounds cut a slice
-            lo = max((image[p] for p in above[idx]), default=-1)
-            hi = min((image[p] for p in below[idx]), default=g.n)
+        anchor, check, deg, above, below = steps[idx]
+        base = g_adj[image[anchor]] if idx else first
+        if above or below:  # candidates ascend, so the bounds cut a slice
+            lo = max((image[p] for p in above), default=-1)
+            hi = min((image[p] for p in below), default=g.n)
             base = base[bisect_right(base, lo) : bisect_left(base, hi)]
-        deg, check = len(h_adj[hv]), checks[idx]
         for c in base:
             if c in used:
                 continue
@@ -155,7 +146,8 @@ def symmetry_pairs(h: Graph) -> tuple[tuple[int, int], ...]:
     """
     group = list(embeddings(h, h))
     pairs: list[tuple[int, int]] = []
-    for v in _match_order(h, None):
+    where = _plan(h, None, ())[0]
+    for v in sorted(range(h.n), key=where.__getitem__):
         orbit = sorted({aut[v] for aut in group})
         if len(orbit) > 1:
             pairs.extend((v, u) for u in orbit if u != v)

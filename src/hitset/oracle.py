@@ -33,6 +33,65 @@ def _bits(mask: int):
         mask ^= low
 
 
+def _bound_and_branch(
+    pending: list[int], excluded: int, w: list[Fraction]
+) -> tuple[Fraction, int] | None:
+    """Greedy bound from disjoint undecided parts of pending edges, and the
+    first undecided part with the fewest vertices; None when a pending edge
+    has no undecided vertex left."""
+    branch = 0
+    branch_count = 1 << 30
+    taken = 0
+    bound = _ZERO
+    for em in pending:
+        und = em & ~excluded
+        if und == 0:
+            return None
+        c = und.bit_count()
+        if c < branch_count:
+            branch_count = c
+            branch = und
+        if not und & taken:
+            taken |= und
+            bound += min(w[i] for i in _bits(und))
+    return bound, branch
+
+
+def _least_cover(
+    pending: list[int], excluded: int, current: Fraction, w: list[Fraction], best: Fraction
+) -> Fraction:
+    """The least weight of a cover completing ``current``, or ``best`` if none is lighter."""
+    if not pending:
+        return min(current, best)
+    step = _bound_and_branch(pending, excluded, w)
+    if step is None or current + step[0] >= best:
+        return best
+    for i in _bits(step[1]):
+        rest = [em for em in pending if not em >> i & 1]
+        best = _least_cover(rest, excluded, current + w[i], w, best)
+        excluded |= 1 << i
+    return best
+
+
+def _completes(
+    pending: list[int], excluded: int, current: Fraction, w: list[Fraction], target: Fraction
+) -> bool:
+    """Whether some cover completing ``current`` weighs at most ``target``."""
+    if current > target:
+        return False
+    if not pending:
+        return True
+    step = _bound_and_branch(pending, excluded, w)
+    if step is None or current + step[0] > target:
+        return False
+    for i in _bits(step[1]):
+        rest = [em for em in pending if not em >> i & 1]
+        if _completes(rest, excluded, current + w[i], w, target):
+            return True
+        excluded |= 1 << i
+    return False
+
+
 def min_weight_cover(
     hyperedges: Sequence[Sequence[int]], weights
 ) -> tuple[tuple[int, ...], Fraction]:
@@ -52,7 +111,6 @@ def min_weight_cover(
     masks = [sum(1 << idx[v] for v in e) for e in canon]
 
     # greedy incumbent: cheapest weight per newly hit edge
-    inc_mask = 0
     inc_weight = _ZERO
     pending = masks
     while pending:
@@ -65,64 +123,10 @@ def min_weight_cover(
             if best is None or key < best[0]:
                 best = (key, i)
         i = best[1]
-        inc_mask |= 1 << i
         inc_weight += w[i]
         pending = [em for em in pending if not em >> i & 1]
 
-    best_weight = [inc_weight]
-
-    def bound_and_branch(pending: list[int], excluded: int) -> tuple[Fraction, int] | None:
-        """Greedy bound from disjoint undecided parts of pending edges, and
-        the first undecided part with the fewest vertices; None when a
-        pending edge has no undecided vertex left."""
-        branch = 0
-        branch_count = 1 << 30
-        taken = 0
-        bound = _ZERO
-        for em in pending:
-            und = em & ~excluded
-            if und == 0:
-                return None
-            c = und.bit_count()
-            if c < branch_count:
-                branch_count = c
-                branch = und
-            if not und & taken:
-                taken |= und
-                bound += min(w[i] for i in _bits(und))
-        return bound, branch
-
-    def search(pending: list[int], excluded: int, current: Fraction) -> None:
-        if not pending:
-            if current < best_weight[0]:
-                best_weight[0] = current
-            return
-        step = bound_and_branch(pending, excluded)
-        if step is None or current + step[0] >= best_weight[0]:
-            return
-        exc = excluded
-        for i in _bits(step[1]):
-            search([em for em in pending if not em >> i & 1], exc, current + w[i])
-            exc |= 1 << i
-
-    search(masks, 0, _ZERO)
-    target = best_weight[0]
-
-    def completes(pending: list[int], excluded: int, current: Fraction) -> bool:
-        if current > target:
-            return False
-        if not pending:
-            return True
-        step = bound_and_branch(pending, excluded)
-        if step is None or current + step[0] > target:
-            return False
-        exc = excluded
-        for i in _bits(step[1]):
-            if completes([em for em in pending if not em >> i & 1], exc, current + w[i]):
-                return True
-            exc |= 1 << i
-        return False
-
+    target = _least_cover(masks, 0, _ZERO, w, inc_weight)
     chosen: list[int] = []
     chosen_weight = _ZERO
     pending = masks
@@ -130,7 +134,7 @@ def min_weight_cover(
     for i in range(len(universe)):
         trial = chosen_weight + w[i]
         remaining = [em for em in pending if not em >> i & 1]
-        if trial <= target and completes(remaining, excluded, trial):
+        if trial <= target and _completes(remaining, excluded, trial, w, target):
             chosen.append(i)
             chosen_weight = trial
             pending = remaining
@@ -154,34 +158,32 @@ def exact_min_hitting_set(
     return min_weight_cover(hg.hyperedges, g.weights)
 
 
+def _matching_bound(edges: list[tuple[int, int]]) -> int:
+    used: set[int] = set()
+    count = 0
+    for u, v in edges:
+        if u not in used and v not in used:
+            used.add(u)
+            used.add(v)
+            count += 1
+    return count
+
+
+def _least_vertex_cover(edges: list[tuple[int, int]], size: int, best: int) -> int:
+    if not edges:
+        return min(best, size)
+    if size + _matching_bound(edges) >= best:
+        return best
+    u, v = edges[0]
+    best = _least_vertex_cover([e for e in edges if u not in e], size + 1, best)
+    return _least_vertex_cover([e for e in edges if v not in e], size + 1, best)
+
+
 def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     """Exact minimum vertex cover size (independent of the hitting-set core)."""
     if g.n > cap:
         raise ValueError(f"instance has {g.n} vertices, oracle cap is {cap}")
-    best = [g.n]
-
-    def matching_bound(edges: list[tuple[int, int]]) -> int:
-        used: set[int] = set()
-        count = 0
-        for u, v in edges:
-            if u not in used and v not in used:
-                used.add(u)
-                used.add(v)
-                count += 1
-        return count
-
-    def search(edges: list[tuple[int, int]], size: int) -> None:
-        if not edges:
-            best[0] = min(best[0], size)
-            return
-        if size + matching_bound(edges) >= best[0]:
-            return
-        u, v = edges[0]
-        search([e for e in edges if u not in e], size + 1)
-        search([e for e in edges if v not in e], size + 1)
-
-    search(g.sorted_edges(), 0)
-    return best[0]
+    return _least_vertex_cover(g.sorted_edges(), 0, g.n)
 
 
 @functools.cache

@@ -79,6 +79,7 @@ def _branch_embedding(
     return tuple((small_ids[u], big_ids[mapping[u]]) for u in range(len(small_ids)))
 
 
+@functools.cache
 def construct_good_graph(p: Pattern, d: RootedDecomposition | None) -> WeightedGraph:
     """A gadget whose every hitting set weighs at least 1.
 
@@ -86,7 +87,8 @@ def construct_good_graph(p: Pattern, d: RootedDecomposition | None) -> WeightedG
     one it is the pattern plus a fresh copy of the big branch hung on the
     root: vertices of the small branch, the big branch and the new copy
     get weight 1/2 (the root and everything else weight 1), for a total
-    of k - (|small| - 1)/2.
+    of k - (|small| - 1)/2.  Cached by value, so each pattern has one
+    gadget object, and its adjacency and match plans are built once.
     """
     if d is None:
         return unit_weights(p.graph)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coloring import Coloring, color_digraph, cover_colored_hypergraph
 from .copies import (
@@ -49,7 +49,8 @@ class SolveDetail:
     """Internals of a solve run, kept for explanation and verification.
 
     ``tau_star`` is the fractional cover value of the copies with no
-    zero-weight vertex, 0 when there is no such copy.
+    zero-weight vertex, 0 when there is no such copy.  ``copies`` are the
+    copy vertex sets the route read, () for ``solve_baseline``.
     """
 
     trace: DecompositionTrace
@@ -58,6 +59,7 @@ class SolveDetail:
     coloring: Coloring | None = None
     conflict_arcs: tuple[tuple[int, int], ...] = ()
     cover_steps: tuple[str, ...] = ()
+    copies: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass
@@ -84,7 +86,7 @@ def _route(
     g: WeightedGraph,
     h: Pattern,
     cls: PatternClass,
-    hyperedges: Sequence[tuple[int, ...]],
+    hyperedges: tuple[tuple[int, ...], ...],
     budget: EnumerationBudget | None,
 ) -> Solution:
     """Subtract one certified gadget, cover the residual, certify.
@@ -108,7 +110,7 @@ def _route(
         tau_star = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)[0].value
 
     chosen = set(trace.zero_set)
-    detail = SolveDetail(trace, tau_star)
+    detail = SolveDetail(trace, tau_star, copies=hyperedges)
     if d is not None:
         positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
         # one chosen copy per central vertex; its other vertices become arcs
@@ -130,8 +132,9 @@ def _route(
             k,
         )
         chosen.update(run.selected)
+        residual = tuple(sorted(positive))
         detail = SolveDetail(
-            trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps
+            trace, tau_star, residual, coloring, tuple(sorted(arcs)), run.steps, hyperedges
         )
 
     if any(chosen.isdisjoint(e) for e in hyperedges):

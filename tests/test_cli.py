@@ -10,6 +10,7 @@ import pytest
 
 import hitset
 from hitset import Graph, ParseError, WeightedGraph, random_graph, serialize_graph, unit_weights
+from hitset import copies, pipeline
 from hitset.cli import main, parse_solution_document
 from helpers import (
     complete_graph,
@@ -167,6 +168,26 @@ def test_bench(files, capsys):
         if opt not in ("-", "0"):
             assert Fraction(fields[8]) <= Fraction(5, 2)
             assert Fraction(fields[7]) <= Fraction(3)
+
+
+def test_bench_enumerates_each_row_once(files, capsys, monkeypatch):
+    _, _, p3, _ = files
+    argv = ("bench", "--pattern", p3, "--count", "3", "--n", "8", "--seed", "5")
+    before = run(capsys, *argv)  # warms the per-pattern caches, whose misses enumerate
+    calls = []
+
+    def counting(enumerate_copies):
+        def wrapper(*args, **kwargs):
+            calls.append(args[0])
+            return enumerate_copies(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(pipeline, "enumerate_copies", counting(pipeline.enumerate_copies))
+    monkeypatch.setattr(copies, "enumerate_copies", counting(copies.enumerate_copies))
+    assert run(capsys, *argv) == before
+    assert before[1].count("\t-\t") == 0  # every row has its exact optimum
+    assert len(calls) == 3  # one enumeration per row, shared by solve and exact_opt
 
 
 def test_parse_error_exit_code(files, capsys, tmp_path):
@@ -430,8 +451,8 @@ def test_analyze_golden_hub_pattern(capsys, tmp_path):
 
 
 def test_solve_explain_same_with_cold_and_warm_caches(capsys, tmp_path):
-    # classifications and goodness certificates are cached per process; a
-    # document must not depend on what the process solved before
+    # classifications, gadgets, match plans and goodness certificates are
+    # cached per process; a document must not depend on what it solved before
     patterns = {
         "p3": path_graph(3),
         "p4": path_graph(4),
@@ -461,12 +482,14 @@ def test_solve_explain_same_with_cold_and_warm_caches(capsys, tmp_path):
     code = (
         "import contextlib, io, json, sys\n"
         "from hitset.cli import main\n"
-        "from hitset.copies import symmetry_pairs\n"
+        "from hitset.copies import _plan, symmetry_pairs\n"
         "from hitset.oracle import verify_goodness\n"
-        "from hitset.patterns import classify_pattern\n"
+        "from hitset.patterns import classify_pattern, construct_good_graph\n"
         "docs = []\n"
         "for argv in json.loads(sys.argv[1]):\n"
         "    classify_pattern.cache_clear()\n"
+        "    construct_good_graph.cache_clear()\n"
+        "    _plan.cache_clear()\n"
         "    symmetry_pairs.cache_clear()\n"
         "    verify_goodness.cache_clear()\n"
         "    out = io.StringIO()\n"

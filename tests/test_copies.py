@@ -10,13 +10,19 @@ from hitset import (
     EnumerationBudget,
     Graph,
     Pattern,
+    WeightedGraph,
     build_copy_hypergraph,
     embeddings,
     enumerate_copies,
+    exact_min_hitting_set,
+    exact_min_vertex_cover,
     find_rooted_copy,
+    min_weight_cover,
+    solve,
     symmetry_pairs,
     unit_weights,
 )
+from hitset import copies, pipeline
 from hitset.graphs import normalize_edge
 from helpers import (
     complete_graph,
@@ -78,6 +84,53 @@ def test_search_state_freed_without_cycle_collector():
         assert gc.collect() == 0  # every search was freed by reference counting
     finally:
         gc.enable()
+
+
+def test_oracle_search_state_freed_without_cycle_collector():
+    g = random_graph(12, 0.4, 1)
+    rng = random.Random(1)
+    wg = WeightedGraph(g, tuple(rng.randint(1, 9) for _ in range(g.n)))
+    gc.collect()
+    gc.disable()
+    try:
+        assert exact_min_hitting_set(wg, P3)[1] > 0
+        assert min_weight_cover([(0, 1, 2), (2, 3), (3, 4, 5)], wg.weights)[0]
+        assert exact_min_vertex_cover(g) > 0
+        assert gc.collect() == 0  # the branch-and-bound state was freed by reference counting
+    finally:
+        gc.enable()
+
+
+def test_disconnected_pattern_rejected():
+    two_edges = Graph(4, [(0, 1), (2, 3)])
+    with pytest.raises(ValueError, match="^pattern graph must be connected$"):
+        list(embeddings(complete_graph(5), two_edges))
+    with pytest.raises(ValueError, match="^pattern graph must be connected$"):
+        next(embeddings(complete_graph(5), two_edges, root=0, root_image=0))
+
+
+def test_match_plan_prepared_once_per_pattern(monkeypatch):
+    paw = Pattern(DIFFERENTIAL_PATTERNS["paw"])
+    g = unit_weights(random_graph(640, 4 / 640, 1))
+    plan, find = copies._plan, pipeline.find_rooted_copy
+    keys, rooted = [], []
+
+    def recording_plan(*key):
+        keys.append(key)
+        return plan(*key)
+
+    def counting_find(*args, **kwargs):
+        rooted.append(args)
+        return find(*args, **kwargs)
+
+    monkeypatch.setattr(copies, "_plan", recording_plan)
+    monkeypatch.setattr(pipeline, "find_rooted_copy", counting_find)
+    plan.cache_clear()
+    solve(g, paw)
+    info = plan.cache_info()
+    assert info.misses == len(set(keys)) == info.currsize  # one build per distinct plan
+    # only the first rooted search builds its plan; every later one reuses it
+    assert info.hits == len(keys) - info.misses >= len(rooted) - 1 > 0
 
 
 def test_hyperedges_have_pattern_size():

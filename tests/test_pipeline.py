@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hitset import (
     BudgetExceededError,
@@ -10,7 +11,9 @@ from hitset import (
     SEMI_SYMMETRIC,
     TWO_CONNECTED,
     UNKNOWN,
+    WeightedGraph,
     classify_pattern,
+    construct_good_graph,
     enumerate_copies,
     exact_min_hitting_set,
     find_rooted_copy,
@@ -25,6 +28,7 @@ from hitset.oracle import verify_goodness
 from helpers import (
     all_trees,
     complete_graph,
+    cycle_graph,
     path_graph,
     star_graph,
     triangle_square_share_vertex,
@@ -289,3 +293,40 @@ def test_non_tree_semi_symmetric_pattern():
     assert verify_solution(glued, hub, sol.hitting_set)
     _, opt = exact_min_hitting_set(wg, hub, cap=glued.n)
     assert opt == 1 and sol.weight <= Fraction(17, 2) * opt
+
+
+PROPERTY_PATTERNS = [
+    Pattern(path_graph(3)),
+    Pattern(path_graph(4)),
+    Pattern(star_graph(3)),
+    Pattern(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])),  # paw
+    Pattern(complete_graph(3)),
+    Pattern(cycle_graph(4)),
+]
+
+
+@st.composite
+def weighted_hosts(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [e for e in pairs if draw(st.booleans())]
+    # halves 1/2 .. 9, so both integer and half-integer weights occur
+    weights = tuple(Fraction(draw(st.integers(1, 18)), 2) for _ in range(n))
+    return WeightedGraph(Graph(n, edges), weights)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(g=weighted_hosts(), h=st.sampled_from(PROPERTY_PATTERNS))
+def test_solve_certificates_hold(g, h):
+    sol = solve(g, h)
+    # the conservation identity, recomputed from the trace and a fresh gadget lookup
+    good = construct_good_graph(h, classify_pattern(h).decomposition)
+    recon = list(sol.detail.trace.final_weights)
+    for step in sol.detail.trace.steps:
+        for x in range(good.graph.n):
+            recon[step.embedding[x]] += step.scale * good.weights[x]
+    assert tuple(recon) == g.weights
+    _, opt = exact_min_hitting_set(g, h)
+    assert sol.lower_bound <= opt <= sol.weight <= sol.guaranteed_factor * opt
+    assert sol.weight == g.total(sol.hitting_set)
+    assert verify_solution(g.graph, h, sol.hitting_set)
