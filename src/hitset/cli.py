@@ -33,7 +33,7 @@ from .generators import (
     serialize_tagged_graph,
 )
 from .graphs import _INTEGER, Pattern, _parse_int, parse_graph, serialize_graph, unit_weights
-from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover, min_weight_cover
+from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
 from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, guaranteed_factor, solve, solve_baseline, verify_solution
 
@@ -220,8 +220,10 @@ def _cmd_bench(args) -> int:
         pipe_sol = solve(g, h, EnumerationBudget(args.budget))
         tau = pipe_sol.detail.tau_star
         opt = None
-        if g.n <= args.cap:  # the optimum over the copies the solve enumerated
-            _, opt = min_weight_cover(pipe_sol.detail.copies, g.weights)
+        if g.n <= args.cap:
+            _, opt = exact_min_hitting_set(
+                g, h, cap=args.cap, budget=EnumerationBudget(args.budget)
+            )
         def ratio(weight):
             if opt is None or opt == 0:
                 return "-"

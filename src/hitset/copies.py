@@ -43,9 +43,9 @@ class EnumerationBudget:
 @functools.cache
 def _plan(
     h: Graph, root: int | None, pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
-    """Match plan of ``h``: the position of each pattern vertex, and per position
-    ``(anchor, checks, degree, above, below)``.
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]:
+    """Match plan of ``h``: the match order, the position of each pattern
+    vertex in it, and per position ``(anchor, checks, degree, above, below)``.
 
     Root (or max-degree vertex) first, then most-anchored-first.  Candidates
     are the host neighbours of the image at the ``anchor`` position and must
@@ -57,21 +57,24 @@ def _plan(
     adj = h.adjacency
     start = root if root is not None else max(range(h.n), key=lambda v: (len(adj[v]), -v))
     pos = {start: 0}  # insertion order is match order
+
+    def rank(u: int) -> tuple[int, int, int]:
+        return sum(x in pos for x in adj[u]), len(adj[u]), -u
+
     while len(pos) < h.n:
-        anchors, _, neg = max(
-            (sum(x in pos for x in adj[u]), len(adj[u]), -u) for u in range(h.n) if u not in pos
-        )
-        if anchors == 0:
+        best = max((u for u in range(h.n) if u not in pos), key=rank)
+        if rank(best)[0] == 0:
             raise ValueError("pattern graph must be connected")
-        pos[-neg] = len(pos)
+        pos[best] = len(pos)
     steps = []
     for idx, hv in enumerate(pos):
         prior = sorted(pos[x] for x in adj[hv] if pos[x] < idx)
+        anchor = prior[0] if prior else -1
+        checks = tuple(prior[1:])  # the anchor is adjacent by construction
         above = tuple(pos[a] for a, b in pairs if b == hv and pos[a] < idx)
         below = tuple(pos[b] for a, b in pairs if a == hv and pos[b] < idx)
-        # the anchor is adjacent by construction, so only the rest are checked
-        steps.append((prior[0] if prior else -1, tuple(prior[1:]), len(adj[hv]), above, below))
-    return tuple(pos[v] for v in range(h.n)), tuple(steps)
+        steps.append((anchor, checks, len(adj[hv]), above, below))
+    return tuple(pos), tuple(pos[v] for v in range(h.n)), tuple(steps)
 
 
 def embeddings(
@@ -97,7 +100,7 @@ def embeddings(
     if pairs and root is not None:
         raise ValueError("ordering pairs cannot be combined with a pinned root")
     g_adj = g.adjacency
-    where, steps = _plan(h, root, pairs)
+    _, where, steps = _plan(h, root, pairs)
     first = [root_image] if root_image is not None else range(g.n)  # position 0's candidates
     image = [-1] * h.n  # indexed by match position
     used: set[int] = set()
@@ -146,8 +149,7 @@ def symmetry_pairs(h: Graph) -> tuple[tuple[int, int], ...]:
     """
     group = list(embeddings(h, h))
     pairs: list[tuple[int, int]] = []
-    where = _plan(h, None, ())[0]
-    for v in sorted(range(h.n), key=where.__getitem__):
+    for v in _plan(h, None, ())[0]:
         orbit = sorted({aut[v] for aut in group})
         if len(orbit) > 1:
             pairs.extend((v, u) for u in orbit if u != v)

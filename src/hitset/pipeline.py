@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .coloring import Coloring, color_digraph, cover_colored_hypergraph
 from .copies import (
@@ -49,8 +49,7 @@ class SolveDetail:
     """Internals of a solve run, kept for explanation and verification.
 
     ``tau_star`` is the fractional cover value of the copies with no
-    zero-weight vertex, 0 when there is no such copy.  ``copies`` are the
-    copy vertex sets the route read, () for ``solve_baseline``.
+    zero-weight vertex, 0 when there is no such copy.
     """
 
     trace: DecompositionTrace
@@ -59,7 +58,6 @@ class SolveDetail:
     coloring: Coloring | None = None
     conflict_arcs: tuple[tuple[int, int], ...] = ()
     cover_steps: tuple[str, ...] = ()
-    copies: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass
@@ -86,7 +84,7 @@ def _route(
     g: WeightedGraph,
     h: Pattern,
     cls: PatternClass,
-    hyperedges: tuple[tuple[int, ...], ...],
+    hyperedges: Sequence[tuple[int, ...]],
     budget: EnumerationBudget | None,
 ) -> Solution:
     """Subtract one certified gadget, cover the residual, certify.
@@ -110,7 +108,7 @@ def _route(
         tau_star = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)[0].value
 
     chosen = set(trace.zero_set)
-    detail = SolveDetail(trace, tau_star, copies=hyperedges)
+    detail = SolveDetail(trace, tau_star)
     if d is not None:
         positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
         # one chosen copy per central vertex; its other vertices become arcs
@@ -132,9 +130,8 @@ def _route(
             k,
         )
         chosen.update(run.selected)
-        residual = tuple(sorted(positive))
         detail = SolveDetail(
-            trace, tau_star, residual, coloring, tuple(sorted(arcs)), run.steps, hyperedges
+            trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps
         )
 
     if any(chosen.isdisjoint(e) for e in hyperedges):

@@ -10,7 +10,6 @@ import pytest
 
 import hitset
 from hitset import Graph, ParseError, WeightedGraph, random_graph, serialize_graph, unit_weights
-from hitset import copies, pipeline
 from hitset.cli import main, parse_solution_document
 from helpers import (
     complete_graph,
@@ -168,26 +167,6 @@ def test_bench(files, capsys):
         if opt not in ("-", "0"):
             assert Fraction(fields[8]) <= Fraction(5, 2)
             assert Fraction(fields[7]) <= Fraction(3)
-
-
-def test_bench_enumerates_each_row_once(files, capsys, monkeypatch):
-    _, _, p3, _ = files
-    argv = ("bench", "--pattern", p3, "--count", "3", "--n", "8", "--seed", "5")
-    before = run(capsys, *argv)  # warms the per-pattern caches, whose misses enumerate
-    calls = []
-
-    def counting(enumerate_copies):
-        def wrapper(*args, **kwargs):
-            calls.append(args[0])
-            return enumerate_copies(*args, **kwargs)
-
-        return wrapper
-
-    monkeypatch.setattr(pipeline, "enumerate_copies", counting(pipeline.enumerate_copies))
-    monkeypatch.setattr(copies, "enumerate_copies", counting(copies.enumerate_copies))
-    assert run(capsys, *argv) == before
-    assert before[1].count("\t-\t") == 0  # every row has its exact optimum
-    assert len(calls) == 3  # one enumeration per row, shared by solve and exact_opt
 
 
 def test_parse_error_exit_code(files, capsys, tmp_path):
