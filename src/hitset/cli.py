@@ -32,22 +32,26 @@ from .generators import (
     random_graph,
     serialize_tagged_graph,
 )
-from .graphs import _INTEGER, Pattern, _parse_int, parse_graph, serialize_graph, unit_weights
+from .graphs import (
+    _INTEGER,
+    Pattern,
+    _decode_text,
+    _parse_int,
+    parse_graph,
+    serialize_graph,
+    unit_weights,
+)
 from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
 from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, guaranteed_factor, solve, solve_baseline, verify_solution
 
 
-def _read_text(path: str) -> str:
-    return Path(path).read_text(encoding="utf-8")
-
-
 def _read_weighted_graph(path: str):
-    return parse_graph(_read_text(path))
+    return parse_graph(Path(path).read_bytes())
 
 
 def _read_pattern(path: str) -> Pattern:
-    return Pattern(parse_graph(_read_text(path)).graph)
+    return Pattern(_read_weighted_graph(path).graph)
 
 
 def _rational(x) -> str:
@@ -94,9 +98,9 @@ def solution_document(sol: Solution, explain: bool = False) -> str:
     return "\n".join(lines) + "\n"
 
 
-def parse_solution_document(text: str) -> tuple[int, ...]:
+def parse_solution_document(text: str | bytes) -> tuple[int, ...]:
     """Extract the hitting set from a solution document."""
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_decode_text(text).splitlines(), start=1):
         if raw.startswith("vertices:"):
             body = raw.split(":", 1)[1].strip()
             if not body:
@@ -187,7 +191,7 @@ def _cmd_gen(args) -> int:
         sys.stdout.write(text)
         return 0
     # the one kind left that argparse admits is gl
-    base_n, base_edges = parse_hypergraph_text(_read_text(args.base))
+    base_n, base_edges = parse_hypergraph_text(Path(args.base).read_bytes())
     h = _read_pattern(args.pattern)
     params = GLParams(base_n, base_edges, args.cloud_size, args.multiplier, args.seed)
     tg = gl_random_instance(h, params)
@@ -198,7 +202,7 @@ def _cmd_gen(args) -> int:
 def _cmd_verify(args) -> int:
     g = _read_weighted_graph(args.graph)
     h = _read_pattern(args.pattern)
-    vertices = parse_solution_document(_read_text(args.solution))
+    vertices = parse_solution_document(Path(args.solution).read_bytes())
     if any(not 0 <= v < g.n for v in vertices):
         print("error: solution vertex out of range", file=sys.stderr)
         return 2

@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
-from typing import Iterator
 
 from .errors import BudgetExceededError
 from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph
@@ -83,15 +83,19 @@ def embeddings(
     *,
     root: int | None = None,
     root_image: int | None = None,
-    allowed: frozenset[int] | None = None,
+    allowed: Set[int] | None = None,
     pairs: tuple[tuple[int, int], ...] = (),
+    start: int = 0,
 ) -> Iterator[tuple[int, ...]]:
     """Yield embeddings of ``h`` into ``g`` in deterministic order.
 
+    The order is lexicographic in the images along the match order.
     ``root``/``root_image`` pin one pattern vertex to one host vertex.
     ``allowed`` restricts all images.  Each ``(a, b)`` in ``pairs``
     requires image[a] < image[b]; with ``symmetry_pairs(h)`` exactly one
-    embedding per subgraph copy is yielded.
+    embedding per subgraph copy is yielded.  ``start`` is a lower bound
+    on the image of the vertex matched first, so a search can resume
+    where an earlier one found its first embedding.
     """
     if h.n == 0 or h.n > g.n:
         return
@@ -99,9 +103,13 @@ def embeddings(
         raise ValueError("root and root_image must be given together")
     if pairs and root is not None:
         raise ValueError("ordering pairs cannot be combined with a pinned root")
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    if start and root is not None:
+        raise ValueError("start cannot be combined with a pinned root")
     g_adj = g.adjacency
     _, where, steps = _plan(h, root, pairs)
-    first = [root_image] if root_image is not None else range(g.n)  # position 0's candidates
+    first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
     image = [-1] * h.n  # indexed by match position
     used: set[int] = set()
 

@@ -197,6 +197,18 @@ def _parse_weight(text: str, lineno: int) -> Fraction:
     return value
 
 
+def _decode_text(text: str | bytes) -> str:
+    """``text`` as a string; bytes that are not UTF-8 raise a line-numbered ``ParseError``."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            return text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # number lines as str.splitlines does; 'x' stands in for the bad byte
+            lineno = len((text[: exc.start].decode("utf-8") + "x").splitlines())
+            raise ParseError(lineno, "malformed", "text is not valid UTF-8") from None
+    return text
+
+
 def _read_lines(
     text: str | bytes, body: dict[str, str], on_line: Callable[[int, list[str], int], None]
 ) -> tuple[int, int, int]:
@@ -207,13 +219,7 @@ def _read_lines(
     file order, and ``on_line(lineno, fields, n)`` sees each body line
     after the header.  Returns n, m and the header's line number.
     """
-    if isinstance(text, (bytes, bytearray)):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            # number lines as str.splitlines does; 'x' stands in for the bad byte
-            lineno = len((text[: exc.start].decode("utf-8") + "x").splitlines())
-            raise ParseError(lineno, "malformed", "text is not valid UTF-8") from None
+    text = _decode_text(text)
     n = m = None
     header_line = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):

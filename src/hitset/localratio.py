@@ -6,6 +6,12 @@ nonnegative.  Each step zeroes at least one vertex, so there are at most
 |V| steps.  The zero-weight vertices collected at the end can join a
 hitting set for free, and the positive residual contains no gadget copy.
 
+The loop is one pass over the host.  Embeddings come in lexicographic
+order of their images along the match order, and the positive vertices
+only shrink, so each search resumes at the image of the first-matched
+gadget vertex in the last step: every embedding rooted lower was
+rejected before and stays rejected.
+
 The subtracted amounts certify a lower bound: every hitting set of the
 gadget weighs at least 1, so any hitting set of the host carries at least
 the sum of the scales.
@@ -16,6 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import copies
 from .copies import EnumerationBudget, embeddings
 from .errors import VerificationError
 from .graphs import WeightedGraph
@@ -53,18 +60,22 @@ def decompose_weights(
     """Run the subtraction loop until no gadget sits on positive weights.
 
     Embeddings are tried in canonical order, so the trace is
-    deterministic.  Callers are responsible for supplying a verified
-    gadget (see ``oracle.verify_goodness``).
+    deterministic.  Each search starts at the last step's root image and
+    the positive vertices are tracked as steps zero them, so the trace
+    equals that of searches from vertex 0 over weights rescanned on every
+    step.  Callers are responsible for supplying a verified gadget (see
+    ``oracle.verify_goodness``).
     """
     if budget is None:
         budget = EnumerationBudget()
     weights = list(g.weights)
     n = g.n
+    root = copies._plan(good.graph, None, ())[0][0]  # the gadget vertex matched first
+    positive = {v for v in range(n) if weights[v] > 0}
+    start = 0
     steps: list[TraceStep] = []
-    zero_count = sum(1 for w in weights if w == 0)
     while True:
-        allowed = frozenset(v for v in range(n) if weights[v] > 0)
-        emb = next(embeddings(g.graph, good.graph, allowed=allowed), None)
+        emb = next(embeddings(g.graph, good.graph, allowed=positive, start=start), None)
         if emb is None:
             break
         budget.charge("weight decomposition")
@@ -79,10 +90,11 @@ def decompose_weights(
         for gv, kw in touched:
             weights[gv] -= scale * kw
         steps.append(TraceStep(emb, scale))
-        new_zero = sum(1 for w in weights if w == 0)
-        if new_zero <= zero_count:
+        zeroed = [gv for gv, _ in touched if weights[gv] == 0]
+        if not zeroed:
             raise VerificationError("a step must zero at least one vertex")
-        zero_count = new_zero
+        positive.difference_update(zeroed)
+        start = emb[root]
         if len(steps) > n:
             raise VerificationError("more decomposition steps than vertices")
 

@@ -18,9 +18,11 @@ from hitset import (
     Graph,
     Pattern,
     WeightedGraph,
+    embeddings,
     random_graph,
 )
 from hitset.graphs import normalize_edge
+from hitset.localratio import DecompositionTrace, TraceStep
 
 
 def path_graph(n: int) -> Graph:
@@ -37,6 +39,17 @@ def complete_graph(n: int) -> Graph:
 
 def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
+
+
+DIFFERENTIAL_PATTERNS = {
+    "P3": path_graph(3),
+    "P4": path_graph(4),
+    "K1,3": star_graph(3),
+    "K1,5": star_graph(5),
+    "K3": complete_graph(3),
+    "C4": cycle_graph(4),
+    "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+}
 
 
 def hub_branches_pattern() -> Pattern:
@@ -188,6 +201,29 @@ def naive_min_vertex_cover(g: Graph) -> int:
         if all(u in s or v in s for u, v in g.edges):
             best = min(best, len(s))
     return best
+
+
+def restarting_decomposition(g: WeightedGraph, good: WeightedGraph) -> DecompositionTrace:
+    """Reference weight decomposition that restarts every search at vertex 0.
+
+    Each step rebuilds the allowed set from all weights and searches for
+    the first gadget embedding over the whole host.
+    """
+    weights = list(g.weights)
+    steps = []
+    while True:
+        allowed = frozenset(v for v in range(g.n) if weights[v] > 0)
+        emb = next(embeddings(g.graph, good.graph, allowed=allowed), None)
+        if emb is None:
+            break
+        touched = [(emb[x], kw) for x, kw in enumerate(good.weights) if kw != 0]
+        scale = min(weights[gv] / kw for gv, kw in touched)
+        for gv, kw in touched:
+            weights[gv] -= scale * kw
+        steps.append(TraceStep(emb, scale))
+    final = tuple(weights)
+    zero = frozenset(v for v in range(g.n) if final[v] == 0)
+    return DecompositionTrace(tuple(steps), final, zero)
 
 
 def random_hypergraph(rng: random.Random, n: int, max_edges: int,

@@ -178,6 +178,23 @@ def test_parse_error_exit_code(files, capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_non_utf8_files_report_line_number(files, capsys, tmp_path):
+    _, k3, p3, _ = files
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"p 3 2\ne 0 1\ne 1 2\n# caf\xe9\n")  # byte 0xe9 on line 4
+    sol = tmp_path / "sol.txt"
+    sol.write_text("vertices: 1\n")
+    for argv in (
+        ["solve", bad, p3],
+        ["solve", k3, bad],
+        ["verify", k3, p3, bad],
+        ["gen", "gl", "--base", bad, "--pattern", k3, "--cloud-size", "2"],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: line 4: text is not valid UTF-8\n"
+
+
 def test_parse_error_too_many_digits_exit_code(files, capsys, tmp_path):
     _, _, p3, _ = files
     bad = tmp_path / "bad.graph"

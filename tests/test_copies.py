@@ -25,6 +25,7 @@ from hitset import (
 from hitset import copies, pipeline
 from hitset.graphs import normalize_edge
 from helpers import (
+    DIFFERENTIAL_PATTERNS,
     complete_graph,
     connected_atlas,
     cycle_graph,
@@ -225,17 +226,6 @@ def test_allowed_restriction():
     assert images == {(0, 1, 2)}
 
 
-DIFFERENTIAL_PATTERNS = {
-    "P3": path_graph(3),
-    "P4": path_graph(4),
-    "K1,3": star_graph(3),
-    "K1,5": star_graph(5),
-    "K3": complete_graph(3),
-    "C4": cycle_graph(4),
-    "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
-}
-
-
 def _nx(g: Graph) -> nx.Graph:
     out = nx.Graph()
     out.add_nodes_from(range(g.n))
@@ -285,6 +275,29 @@ def test_embeddings_rooted_match_networkx(name):
             for image in range(g.n):
                 got = set(embeddings(g, h, root=root, root_image=image))
                 assert got == {m for m in every if m[root] == image}
+
+
+START_PATTERNS = ("P3", "P4", "K1,3", "paw", "K3", "C4")
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+@pytest.mark.parametrize("name", START_PATTERNS)
+def test_embeddings_start_filters_first_matched_image(name, restricted):
+    h = DIFFERENTIAL_PATTERNS[name]
+    first = copies._plan(h, None, ())[0][0]  # the pattern vertex matched first
+    for g, rng in _differential_hosts():
+        allowed = frozenset(rng.sample(range(g.n), g.n - 2)) if restricted else None
+        every = list(embeddings(g, h, allowed=allowed))
+        for s in (0, 1, g.n // 2, g.n - 1, g.n):
+            got = list(embeddings(g, h, allowed=allowed, start=s))
+            assert got == [emb for emb in every if emb[first] >= s]
+
+
+def test_embeddings_start_with_root_rejected():
+    with pytest.raises(ValueError, match="pinned root"):
+        list(embeddings(complete_graph(5), P3.graph, root=0, root_image=0, start=1))
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(embeddings(complete_graph(5), P3.graph, start=-1))
 
 
 def _edge_image(h: Graph, emb: tuple[int, ...]) -> frozenset:

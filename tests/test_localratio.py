@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -16,8 +17,14 @@ from hitset import (
     unit_weights,
     verify_solution,
 )
-from hitset import random_graph
-from helpers import complete_graph, path_graph, star_graph
+from hitset import copies, localratio, random_graph
+from helpers import (
+    DIFFERENTIAL_PATTERNS,
+    complete_graph,
+    path_graph,
+    restarting_decomposition,
+    star_graph,
+)
 
 P3 = Pattern(path_graph(3))
 
@@ -154,3 +161,41 @@ def test_multiple_goods_scanned_in_order():
     assert trace.dual_bound() == sum(
         (st.scale for st in trace.steps), Fraction(0)
     )
+
+
+RESUME_PATTERNS = ("C4", "K1,3", "K3", "P3", "P4", "paw")
+WEIGHT_RANGES = ((1, 1), (1, 9), (0, 9))  # unit, positive, and zeros from the start
+
+
+def _resume_cases():
+    # every weight range on the two smaller hosts; on the largest, where the
+    # restarting reference is slow, each pattern takes one range in turn
+    for i, name in enumerate(RESUME_PATTERNS):
+        for n in (40, 160):
+            for low, high in WEIGHT_RANGES:
+                yield name, n, low, high
+        yield (name, 640) + WEIGHT_RANGES[i % len(WEIGHT_RANGES)]
+
+
+@pytest.mark.parametrize("name, n, low, high", list(_resume_cases()))
+def test_resumed_decomposition_matches_restarting_reference(name, n, low, high, monkeypatch):
+    p = Pattern(DIFFERENTIAL_PATTERNS[name])
+    good = construct_good_graph(p, classify_pattern(p).decomposition)
+    first = copies._plan(good.graph, None, ())[0][0]  # the gadget vertex matched first
+    rng = random.Random(n + high)
+    g = WeightedGraph(
+        random_graph(n, 4 / n, n), tuple(Fraction(rng.randint(low, high)) for _ in range(n))
+    )
+    search = localratio.embeddings
+    starts = []
+
+    def recording(*args, **kwargs):
+        starts.append(kwargs["start"])
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(localratio, "embeddings", recording)
+    trace = decompose_weights(g, good)
+    assert trace == restarting_decomposition(g, good)
+    # the first search starts at 0 and each later one at the last step's root image
+    assert starts == [0] + [st.embedding[first] for st in trace.steps]
+    assert starts == sorted(starts)
