@@ -14,10 +14,12 @@ basis matrix and ``d = det(B) > 0``.  The basic solution and the
 multipliers are integer vectors over the same ``d``, so pricing and the
 ratio test compare integers, and a pivot on row ``l`` with pivot
 element ``p`` is the Bareiss update ``adj[i] = (adj[i] p - dir[i]
-adj[l]) // d`` (an exact division), after which ``d = p``.  Fractions
-are built once, from the final basis.  Both solutions are exactly
-feasible, exactly optimal, and satisfy complementary slackness; their
-values agree exactly.
+adj[l]) // d`` (an exact division), after which ``d = p``.  The
+optimality certificate is checked in those same integers, scaled by
+``d * scale``: nonnegativity, every capacity, every cover constraint and
+equal values.  Fractions are built only for the outputs, once, from the
+final basis.  Both solutions are exactly feasible, exactly optimal, and
+satisfy complementary slackness; their values agree exactly.
 
 Pricing is greedy (largest reduced cost, smallest index on ties) and
 falls back to Bland's rule after a run of degenerate pivots, which
@@ -30,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add
+from operator import add, mul
 from typing import Mapping, Sequence
 
 from .errors import VerificationError
@@ -86,7 +88,8 @@ def solve_cover_lp(
     adj = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
     d = 1
     basis = [nstruct + i for i in range(m)]
-    xb = [w[v].numerator * (scale // w[v].denominator) for v in verts]
+    wint = [w[v].numerator * (scale // w[v].denominator) for v in verts]
+    xb = list(wint)
     pi_int = [0] * m
     degenerate_streak = 0
 
@@ -157,36 +160,39 @@ def solve_cover_lp(
         basis[leave] = entering
 
     den = d * scale
+    value = Fraction(_certify(cols, basis, xb, pi_int, d, wint), den)
     basic = {edges[j]: Fraction(x, den) for j, x in zip(basis, xb) if j < nstruct}
-    matching_values = {e: basic.get(e, _ZERO) for e in edges}
-    matching_value = sum(basic.values(), _ZERO)
-    cover_values = {verts[r]: Fraction(pi_int[r], d) for r in range(m)}
-    cover_value = sum((g * w[v] for v, g in cover_values.items()), _ZERO)
-
-    _check_optimal_pair(edges, w, cover_values, matching_values, cover_value, matching_value)
     return (
-        FractionalCover(cover_values, cover_value),
-        FractionalMatching(matching_values, matching_value),
+        FractionalCover({verts[r]: Fraction(x, d) for r, x in enumerate(pi_int)}, value),
+        FractionalMatching({e: basic.get(e, _ZERO) for e in edges}, value),
     )
 
 
-def _check_optimal_pair(edges, w, cover, matching, cover_value, matching_value):
-    # cheap exact safety net; a failure here is always a solver bug
-    if cover_value != matching_value:
-        raise VerificationError("cover and matching values differ")
-    load = {v: _ZERO for v in w}
-    for e in edges:
-        f = matching[e]
-        if f < 0:
-            raise VerificationError("negative matching mass")
-        if f:
-            for v in e:
-                load[v] += f
-        if sum((cover[v] for v in e), _ZERO) < 1:
-            raise VerificationError("cover constraint violated")
-    for v, g in cover.items():
-        if g < 0:
-            raise VerificationError("negative cover mass")
-        if load[v] > w[v]:
-            raise VerificationError("matching capacity violated")
+def _certify(cols, basis, xb, pi_int, d, wint) -> int:
+    """Check the final basis in the simplex's integers; return the common value times d * scale.
 
+    Cover mass is pi_int / d, matching mass xb / (d * scale) and weight
+    wint / scale, so each condition below is the exact one multiplied by
+    d * scale, which is positive because every pivot element is.  A
+    failure here is always a solver bug.
+    """
+    nstruct = len(cols)
+    load = [0] * len(wint)
+    flow = 0
+    for j, x in zip(basis, xb):
+        if j < nstruct:
+            if x < 0:
+                raise VerificationError("negative matching mass")
+            flow += x
+            for r in cols[j]:
+                load[r] += x
+    if min(pi_int) < 0:
+        raise VerificationError("negative cover mass")
+    if any(x > w * d for x, w in zip(load, wint)):
+        raise VerificationError("matching capacity violated")
+    get = pi_int.__getitem__
+    if any(sum(map(get, c)) < d for c in cols):
+        raise VerificationError("cover constraint violated")
+    if flow != sum(map(mul, pi_int, wint)):
+        raise VerificationError("cover and matching values differ")
+    return flow

@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .copies import EnumerationBudget, build_copy_hypergraph
+from .errors import VerificationError
 from .graphs import Graph, Pattern, WeightedGraph
 
 DEFAULT_CAP = 20
@@ -140,7 +141,8 @@ def min_weight_cover(
             pending = remaining
         else:
             excluded |= 1 << i
-    assert chosen_weight == target and not pending
+    if chosen_weight != target or pending:
+        raise VerificationError("rebuilt cover does not reach the optimal weight")
     return tuple(universe[i] for i in chosen), target
 
 

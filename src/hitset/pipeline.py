@@ -102,7 +102,8 @@ def _route(
 
     # certificate: fractional cover value of the original instance; edges
     # touching a zero-weight vertex are covered for free
-    lp_edges = tuple(e for e in hyperedges if all(g.weights[v] > 0 for v in e))
+    zero = {v for v, x in enumerate(g.weights) if not x}
+    lp_edges = tuple(e for e in hyperedges if zero.isdisjoint(e))
     tau_star = Fraction(0)
     if lp_edges:
         tau_star = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)[0].value

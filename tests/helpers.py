@@ -17,6 +17,7 @@ from hitset import (
     FractionalMatching,
     Graph,
     Pattern,
+    VerificationError,
     WeightedGraph,
     embeddings,
     random_graph,
@@ -284,3 +285,32 @@ def check_complementary_slackness(
         if f > 0 and sum((cover.values.get(v, zero) for v in e), zero) != 1:
             return False
     return True
+
+
+def check_optimal_pair(
+    hg: CopyHypergraph, weights, cover: FractionalCover, matching: FractionalMatching
+) -> None:
+    """Reference optimality check in Fractions, per hyperedge: equal values,
+    nonnegative masses, every cover constraint and every capacity.  Raises
+    VerificationError with the solver's messages."""
+    zero = Fraction(0)
+    if cover.value != matching.value:
+        raise VerificationError("cover and matching values differ")
+    if cover.value != sum((g * weights[v] for v, g in cover.values.items()), zero):
+        raise VerificationError("cover value is not its weighted mass")
+    if matching.value != sum(matching.values.values(), zero):
+        raise VerificationError("matching value is not its total mass")
+    load = {v: zero for v in hg.covered_vertices()}
+    for e in hg.hyperedges:
+        f = matching.values[e]
+        if f < 0:
+            raise VerificationError("negative matching mass")
+        for v in e:
+            load[v] += f
+        if sum((cover.values[v] for v in e), zero) < 1:
+            raise VerificationError("cover constraint violated")
+    for v, g in cover.values.items():
+        if g < 0:
+            raise VerificationError("negative cover mass")
+        if load[v] > weights[v]:
+            raise VerificationError("matching capacity violated")

@@ -1,6 +1,7 @@
 import hashlib
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,10 +9,17 @@ from hitset import (
     CopyHypergraph,
     FractionalCover,
     FractionalMatching,
+    VerificationError,
     min_weight_cover,
     solve_cover_lp,
 )
-from helpers import check_complementary_slackness, random_hypergraph, random_weights
+from hitset import lp
+from helpers import (
+    check_complementary_slackness,
+    check_optimal_pair,
+    random_hypergraph,
+    random_weights,
+)
 
 UNIT3 = (Fraction(1),) * 3
 
@@ -161,6 +169,53 @@ def test_pivot_path_golden():
     assert digest.hexdigest() == GOLDEN_SHA256
 
 
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SEEDS))
+def test_pairs_pass_fraction_reference(kind):
+    for seed in GOLDEN_SEEDS[kind]:
+        hg, weights = _golden_instance(kind, seed)
+        cover, matching = solve_cover_lp(hg, weights)
+        check_optimal_pair(hg, weights, cover, matching)
+
+
+def _final_state(monkeypatch, hg, weights):
+    """The simplex's final integer state, as handed to lp._certify."""
+    seen = []
+    certify = lp._certify
+    monkeypatch.setattr(lp, "_certify", lambda *state: seen.append(state) or certify(*state))
+    solve_cover_lp(hg, weights)
+    monkeypatch.undo()
+    return seen[0]
+
+
+def test_integer_certificate_rejects_each_violation(monkeypatch):
+    hg, weights = _golden_instance("fractional", 9201)
+    cols, basis, xb, pi_int, d, wint = state = _final_state(monkeypatch, hg, weights)
+    scale = lcm(*(weights[v].denominator for v in hg.covered_vertices()))
+    flow = lp._certify(*state)
+    assert Fraction(flow, d * scale) == solve_cover_lp(hg, weights)[0].value
+    assert d > 1 and scale > 1
+
+    # a basic structural column with positive mass; its reduced cost is 0, so
+    # its rows' multipliers sum to d, and a row with a positive multiplier is tight
+    i = next(i for i, j in enumerate(basis) if j < len(cols) and xb[i] > 0)
+    r = next(r for r in cols[basis[i]] if pi_int[r] > 0)
+
+    def changed(values, k, x):
+        values = list(values)
+        values[k] = x
+        return values
+
+    def rejects(message, bad_xb=xb, bad_pi=pi_int):
+        with pytest.raises(VerificationError, match=message):
+            lp._certify(cols, basis, bad_xb, bad_pi, d, wint)
+
+    rejects("negative matching mass", bad_xb=changed(xb, i, -1))
+    rejects("negative cover mass", bad_pi=changed(pi_int, r, -1))
+    rejects("matching capacity violated", bad_xb=changed(xb, i, xb[i] + 1))
+    rejects("cover constraint violated", bad_pi=changed(pi_int, r, pi_int[r] - 1))
+    rejects("cover and matching values differ", bad_pi=changed(pi_int, 0, pi_int[0] + 1))
+
+
 def _highs_tau(hg, weights):
     from scipy.optimize import linprog
 
@@ -223,6 +278,7 @@ def test_weights_with_large_denominator_lcm():
     assert cover.value == matching.value == sum(weights) / 2
     assert all(g == Fraction(1, 2) for g in cover.values.values())
     assert check_complementary_slackness(cover, matching, hg, weights)
+    check_optimal_pair(hg, weights, cover, matching)
 
     # singletons over the first 15 primes and two denominators near 2**60
     dens = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 2**61 - 1, 10**18 + 9)
@@ -231,3 +287,4 @@ def test_weights_with_large_denominator_lcm():
     cover, matching = solve_cover_lp(hg, weights)
     assert cover.value == matching.value == sum(weights)
     assert check_complementary_slackness(cover, matching, hg, weights)
+    check_optimal_pair(hg, weights, cover, matching)

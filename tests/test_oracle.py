@@ -7,6 +7,7 @@ import pytest
 from hitset import (
     Graph,
     Pattern,
+    VerificationError,
     WeightedGraph,
     exact_min_hitting_set,
     exact_min_vertex_cover,
@@ -110,6 +111,16 @@ def test_min_weight_cover_zero_weights():
     chosen, weight = min_weight_cover(edges, weights)
     assert weight == 0
     assert set(chosen) >= {0, 2} or 1 in chosen  # hits both edges for free
+
+
+def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
+    # a rebuild that cannot reach the optimal weight is a solver bug; it
+    # must raise even under python -O, which strips asserts
+    from hitset import oracle
+
+    monkeypatch.setattr(oracle, "_completes", lambda *args: False)
+    with pytest.raises(VerificationError, match="optimal weight"):
+        min_weight_cover(((0, 1), (1, 2)), (Fraction(1),) * 3)
 
 
 def _least_optimal_cover(edges, weights):

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from hitset import (
     BudgetExceededError,
+    CopyHypergraph,
     EnumerationBudget,
     Graph,
     Pattern,
@@ -19,6 +20,7 @@ from hitset import (
     find_rooted_copy,
     solve,
     solve_baseline,
+    solve_cover_lp,
     unit_weights,
     verify_solution,
 )
@@ -263,9 +265,14 @@ def test_zero_weight_vertices_in_host(seed):
     n = rng.randint(5, 9)
     g = random_graph(n, 0.5, 95_000 + seed)
     weights = list(random_weights(rng, n))
-    weights[rng.randrange(n)] = Fraction(0)
+    for v in rng.sample(range(n), rng.randint(1, 3)):
+        weights[v] = Fraction(0)
     wg = WeightedGraph(g, tuple(weights))
     sol = solve(wg, P3)
+    # the certificate LP sees exactly the copies avoiding every zero-weight vertex
+    live = tuple(e for e in enumerate_copies(g, P3) if all(weights[v] > 0 for v in e))
+    tau = solve_cover_lp(CopyHypergraph(n, live), weights)[0].value if live else 0
+    assert sol.detail.tau_star == tau
     _, opt = exact_min_hitting_set(wg, P3)
     assert sol.weight <= Fraction(5, 2) * opt
     assert sol.lower_bound <= opt
