@@ -16,6 +16,7 @@ re-checked exactly at runtime on every invocation.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -47,36 +48,33 @@ def color_digraph(n: int, arcs: Iterable[tuple[int, int]], m: int) -> tuple[int,
 
     Requires every out-degree at most m.  Peels the smallest-id vertex of
     total degree at most 2m, then colours greedily on re-insertion.
+    Degrees only fall, so each vertex joins the heap at most once.
     """
     out_degree = [0] * n
-    arcs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-    neighbors: list[set[int]] = [set() for _ in range(n)]
+    ends: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:
         out_degree[u] += 1
-        arcs_at[u].append((u, v))
-        arcs_at[v].append((u, v))
-        neighbors[u].add(v)
-        neighbors[v].add(u)
+        ends[u].append(v)
+        ends[v].append(u)
 
     if any(deg > m for deg in out_degree):
         raise ValueError(f"out-degree bound {m} violated")
-    degree = [len(arcs_at[v]) for v in range(n)]
-    alive = [True] * n
+    degree = [len(row) for row in ends]
+    low = [v for v in range(n) if degree[v] <= 2 * m]
     order: list[int] = []
-    for _ in range(n):
-        v = next((u for u in range(n) if alive[u] and degree[u] <= 2 * m), -1)
-        if v == -1:
-            raise VerificationError("no low-degree vertex; degree counting is broken")
+    while low:
+        v = heapq.heappop(low)
         order.append(v)
-        alive[v] = False
-        for a, b in arcs_at[v]:
-            other = b if a == v else a
-            if alive[other]:
-                degree[other] -= 1
+        for u in ends[v]:
+            degree[u] -= 1
+            if degree[u] == 2 * m:
+                heapq.heappush(low, u)
+    if len(order) < n:
+        raise VerificationError("no low-degree vertex; degree counting is broken")
 
     colors = [-1] * n
     for v in reversed(order):
-        used = {colors[u] for u in neighbors[v] if colors[u] != -1}
+        used = {colors[u] for u in ends[v]}
         c = 0
         while c in used:
             c += 1
@@ -181,8 +179,8 @@ def cover_colored_hypergraph(
     total = sum((weights[v] for v in selected), _ZERO)
     if total * t > k * (t - 1) * (top_value or _ZERO):
         raise VerificationError("selection exceeded the colour bound")
-    for e in original:
-        if not set(e) & set(selected):
-            raise VerificationError("selection misses a hyperedge")
+    taken = set(selected)
+    if any(taken.isdisjoint(e) for e in original):
+        raise VerificationError("selection misses a hyperedge")
     return CoverRun(selected, tuple(steps))
 

@@ -37,8 +37,10 @@ def random_graph(n: int, p: float, seed: int) -> Graph:
     if not 0 <= p <= 1:
         raise ValueError("edge probability must lie in [0, 1]")
     rng = _rng(seed)
+    # One uniform per pair u < v in row-major order, drawn a row at a time.
     edges = [
-        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+        (u, v) for u in range(n)
+        for v in (np.flatnonzero(rng.random(n - u - 1) < p) + (u + 1)).tolist()
     ]
     return Graph(n, frozenset(edges))
 

@@ -9,6 +9,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
 import networkx as nx
+import numpy as np
 import pytest
 
 from hitset import (
@@ -225,6 +226,58 @@ def restarting_decomposition(g: WeightedGraph, good: WeightedGraph) -> Decomposi
     final = tuple(weights)
     zero = frozenset(v for v in range(g.n) if final[v] == 0)
     return DecompositionTrace(tuple(steps), final, zero)
+
+
+def rescanning_coloring(n: int, arcs, m: int) -> tuple[int, ...]:
+    """Reference digraph colouring that rescans every vertex from id 0 in
+    each peeling round, with per-vertex arc lists, neighbour sets and
+    alive flags."""
+    out_degree = [0] * n
+    arcs_at: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u, v in arcs:
+        out_degree[u] += 1
+        arcs_at[u].append((u, v))
+        arcs_at[v].append((u, v))
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+
+    if any(deg > m for deg in out_degree):
+        raise ValueError(f"out-degree bound {m} violated")
+    degree = [len(arcs_at[v]) for v in range(n)]
+    alive = [True] * n
+    order: list[int] = []
+    for _ in range(n):
+        v = next((u for u in range(n) if alive[u] and degree[u] <= 2 * m), -1)
+        if v == -1:
+            raise VerificationError("no low-degree vertex; degree counting is broken")
+        order.append(v)
+        alive[v] = False
+        for a, b in arcs_at[v]:
+            other = b if a == v else a
+            if alive[other]:
+                degree[other] -= 1
+
+    colors = [-1] * n
+    for v in reversed(order):
+        used = {colors[u] for u in neighbors[v] if colors[u] != -1}
+        c = 0
+        while c in used:
+            c += 1
+        colors[v] = c
+    if any(c > 2 * m for c in colors):
+        raise VerificationError("greedy colouring exceeded its palette")
+    return tuple(colors)
+
+
+def scalar_random_graph(n: int, p: float, seed: int) -> Graph:
+    """Reference random graph that draws one scalar uniform per pair u < v,
+    in row-major order, from the generator ``random_graph`` seeds."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    edges = [
+        (u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p
+    ]
+    return Graph(n, frozenset(edges))
 
 
 def random_hypergraph(rng: random.Random, n: int, max_edges: int,

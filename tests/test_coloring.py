@@ -16,7 +16,13 @@ from hitset import (
     solve_cover_lp,
     unit_weights,
 )
-from helpers import complete_graph, path_graph, random_hypergraph, random_weights
+from helpers import (
+    complete_graph,
+    path_graph,
+    random_hypergraph,
+    random_weights,
+    rescanning_coloring,
+)
 
 P3 = Pattern(path_graph(3))
 
@@ -61,6 +67,28 @@ def test_random_digraph_property(seed):
     assert len(colors) == n
     assert _proper(arcs, colors)
     assert all(0 <= c <= 2 * m for c in colors)
+
+
+def test_matches_rescanning_reference():
+    """The heap peel picks the same vertex as a rescan from id 0 in every
+    round, on digraphs with m out-arcs per vertex, antiparallel pairs and
+    vertices of degree above 2m."""
+    antiparallel = high_degree = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        n = rng.randint(2, 30)
+        m = rng.randint(1, 3)
+        arcs = set()
+        for u in range(n):
+            arcs.update((u, v) for v in rng.sample([v for v in range(n) if v != u], min(m, n - 1)))
+        antiparallel += any((v, u) in arcs for u, v in arcs)
+        degree = [0] * n
+        for u, v in arcs:
+            degree[u] += 1
+            degree[v] += 1
+        high_degree += max(degree) > 2 * m
+        assert color_digraph(n, arcs, m) == rescanning_coloring(n, arcs, m), seed
+    assert antiparallel >= 100 and high_degree >= 100
 
 
 def _cover_copies(g: WeightedGraph, coloring: Coloring) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from hitset import (
     unit_weights,
 )
 from hitset.generators import parse_hypergraph_text
-from helpers import complete_graph, cycle_graph, path_graph, too_many_digits
+from helpers import complete_graph, cycle_graph, path_graph, scalar_random_graph, too_many_digits
 
 P3 = Pattern(path_graph(3))
 K3 = Pattern(complete_graph(3))
@@ -135,6 +135,15 @@ def test_random_graph_extremes():
     assert random_graph(5, 1.0, 1) == complete_graph(5)
     assert random_graph(8, 0.5, 3) == random_graph(8, 0.5, 3)
     assert random_graph(8, 0.5, 3) != random_graph(8, 0.5, 4)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 40, 300])
+def test_random_graph_matches_scalar_draws(n):
+    for p in (0, 0.05, 0.5, 1):
+        for seed in range(3):
+            g = random_graph(n, p, seed)
+            assert g == scalar_random_graph(n, p, seed), (p, seed)
+            assert all(type(x) is int for e in g.edges for x in e)
 
 
 def test_parse_hypergraph_text():
