@@ -237,8 +237,19 @@ def _cmd_bench(args) -> int:
             f"\t{_rational(opt) if opt is not None else '-'}\t{_rational(tau)}"
             f"\t{ratio(base_sol.weight)}\t{ratio(pipe_sol.weight)}"
         )
-    sys.stdout.write(header + "\n" + "\n".join(sorted(rows)) + "\n")
+    sys.stdout.write("\n".join([header, *sorted(rows)]) + "\n")
     return 0
+
+
+def _nonnegative(text: str) -> int:
+    """argparse type for budgets, caps and counts: a nonnegative integer."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -251,15 +262,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="approximate a minimum hitting set")
     p_solve.add_argument("graph")
     p_solve.add_argument("pattern")
-    p_solve.add_argument("--budget", type=int, default=DEFAULT_MAX_COPIES)
+    p_solve.add_argument("--budget", type=_nonnegative, default=DEFAULT_MAX_COPIES)
     p_solve.add_argument("--explain", action="store_true")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_exact = sub.add_parser("exact", help="exact optimum by branch and bound")
     p_exact.add_argument("graph")
     p_exact.add_argument("pattern", nargs="?")
-    p_exact.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_exact.add_argument("--budget", type=int, default=DEFAULT_MAX_COPIES)
+    p_exact.add_argument("--cap", type=_nonnegative, default=DEFAULT_CAP)
+    p_exact.add_argument("--budget", type=_nonnegative, default=DEFAULT_MAX_COPIES)
     p_exact.add_argument("--vertex-cover", action="store_true")
     p_exact.set_defaults(func=_cmd_exact)
 
@@ -295,12 +306,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="baseline vs pipeline over a seeded corpus")
     p_bench.add_argument("--pattern", required=True)
-    p_bench.add_argument("--count", type=int, default=10)
+    p_bench.add_argument("--count", type=_nonnegative, default=10)
     p_bench.add_argument("--n", type=int, default=10)
     p_bench.add_argument("--p", type=float, default=0.4)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--cap", type=int, default=DEFAULT_CAP)
-    p_bench.add_argument("--budget", type=int, default=DEFAULT_MAX_COPIES)
+    p_bench.add_argument("--cap", type=_nonnegative, default=DEFAULT_CAP)
+    p_bench.add_argument("--budget", type=_nonnegative, default=DEFAULT_MAX_COPIES)
     p_bench.set_defaults(func=_cmd_bench)
     return parser
 

@@ -5,7 +5,11 @@ is a tuple whose entry i is the host image of pattern vertex i.
 Backtracking matches pattern vertices in a connectivity-respecting order
 with candidate images tried in ascending id, so enumeration order is
 deterministic.  That order and its checks are prepared once per
-(pattern, root, pairs), so each search does only host work.  Full
+(pattern, root, pairs), so each search does only host work.  A vertex
+with one placed neighbour takes its candidates from that neighbour's
+sorted tuple (``Graph.adjacency``); one with several, which closes a
+cycle, takes the sorted intersection of their neighbour sets
+(``Graph.neighbor_sets``), so only common neighbours are tried.  Full
 enumeration is symmetry-broken: ordering constraints on the images
 (Grochow & Kellis, RECOMB 2007) admit one embedding per subgraph copy
 instead of one per automorphism of the pattern.  Distinct copies are
@@ -90,6 +94,8 @@ def embeddings(
     """Yield embeddings of ``h`` into ``g`` in deterministic order.
 
     The order is lexicographic in the images along the match order.
+    A position with checks draws its candidates from one sorted set
+    intersection, the order that filtering the anchor's neighbours gives.
     ``root``/``root_image`` pin one pattern vertex to one host vertex.
     ``allowed`` restricts all images.  Each ``(a, b)`` in ``pairs``
     requires image[a] < image[b]; with ``symmetry_pairs(h)`` exactly one
@@ -109,6 +115,8 @@ def embeddings(
         raise ValueError("start cannot be combined with a pinned root")
     g_adj = g.adjacency
     _, where, steps = _plan(h, root, pairs)
+    # only a pattern with a cycle has checks, so trees never build the sets
+    g_sets = g.neighbor_sets if any(step[1] for step in steps) else ()
     first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
     image = [-1] * h.n  # indexed by match position
     used: set[int] = set()
@@ -118,8 +126,17 @@ def embeddings(
             yield tuple([image[p] for p in where])
             return
         anchor, check, deg, above, below = steps[idx]
-        base = g_adj[image[anchor]] if idx else first
-        if above or below:  # candidates ascend, so the bounds cut a slice
+        if not idx:
+            base = first
+        elif check:  # the common neighbours of every placed neighbour, ascending
+            base = sorted(
+                g_sets[image[check[0]]].intersection(
+                    g_sets[image[anchor]], *[g_sets[image[p]] for p in check[1:]]
+                )
+            )
+        else:
+            base = g_adj[image[anchor]]
+        if base and (above or below):  # candidates ascend, so the bounds cut a slice
             lo = max((image[p] for p in above), default=-1)
             hi = min((image[p] for p in below), default=g.n)
             base = base[bisect_right(base, lo) : bisect_left(base, hi)]
@@ -129,8 +146,6 @@ def embeddings(
             if allowed is not None and c not in allowed:
                 continue
             if len(g_adj[c]) < deg:
-                continue
-            if check and any(image[p] not in g_adj[c] for p in check):
                 continue
             image[idx] = c
             used.add(c)

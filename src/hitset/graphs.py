@@ -72,6 +72,11 @@ class Graph:
             adj[v].append(u)
         return tuple(tuple(sorted(row)) for row in adj)
 
+    @functools.cached_property
+    def neighbor_sets(self) -> tuple[frozenset[int], ...]:
+        """Per-vertex neighbour sets, built on first use from ``adjacency``."""
+        return tuple(map(frozenset, self.adjacency))
+
     def is_connected(self) -> bool:
         if self.n <= 1:
             return True

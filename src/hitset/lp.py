@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, mul
+from operator import add, itemgetter, mul
 from typing import Mapping, Sequence
 
 from .errors import VerificationError
@@ -118,11 +118,13 @@ def solve_cover_lp(
         if entering < nstruct:
             rc = d - col_sum[entering]
             rows = cols[entering]
-            direction = [sum([row[r] for r in rows]) for row in adj]
         else:
-            col = entering - nstruct
-            rc = -pi_int[col]
-            direction = [row[col] for row in adj]
+            rows = (entering - nstruct,)
+            rc = -pi_int[rows[0]]
+        if len(rows) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
+            direction = list(map(itemgetter(rows[0]), adj))
+        else:
+            direction = list(map(sum, map(itemgetter(*rows), adj)))
 
         # least ratio xb[i] / dir[i] over dir[i] > 0, by cross-multiplication
         leave = -1

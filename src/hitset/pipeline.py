@@ -91,8 +91,8 @@ def _route(
 
     The cover step runs only when ``cls`` has a decomposition.
     ``hyperedges`` are the vertex sets of the copies of ``h`` in ``g``
-    that the cover step, the certificate LP and the final check read;
-    with none, those three have nothing to do.
+    that the rooted searches, the cover step, the certificate LP and the
+    final check read; with none, those four have nothing to do.
     """
     k, d = h.k, cls.decomposition
     good = construct_good_graph(h, d)
@@ -112,9 +112,12 @@ def _route(
     detail = SolveDetail(trace, tau_star)
     if d is not None:
         positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
-        # one chosen copy per central vertex; its other vertices become arcs
+        residual = tuple(e for e in hyperedges if positive.issuperset(e))
+        # one chosen copy per central vertex; its other vertices become arcs.
+        # A rooted copy inside ``positive`` is a residual copy, so only their
+        # vertices can be central.
         arcs: set[tuple[int, int]] = set()
-        for u in sorted(positive):
+        for u in sorted({v for e in residual for v in e}):
             emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=positive)
             if emb is not None:
                 arcs.update((u, w) for w in emb if w != u)
@@ -124,12 +127,7 @@ def _route(
         if any(colors[u] == colors[w] for u, w in arcs):
             raise VerificationError("conflict colouring is not proper")
         coloring = Coloring(colors, 2 * k)
-        run = cover_colored_hypergraph(
-            tuple(e for e in hyperedges if positive.issuperset(e)),
-            trace.final_weights,
-            coloring,
-            k,
-        )
+        run = cover_colored_hypergraph(residual, trace.final_weights, coloring, k)
         chosen.update(run.selected)
         detail = SolveDetail(
             trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps

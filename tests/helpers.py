@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import sys
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
@@ -13,6 +14,7 @@ import numpy as np
 import pytest
 
 from hitset import (
+    Coloring,
     CopyHypergraph,
     FractionalCover,
     FractionalMatching,
@@ -20,9 +22,16 @@ from hitset import (
     Pattern,
     VerificationError,
     WeightedGraph,
+    classify_pattern,
+    color_digraph,
+    construct_good_graph,
+    cover_colored_hypergraph,
     embeddings,
+    enumerate_copies,
+    find_rooted_copy,
     random_graph,
 )
+from hitset.copies import _plan
 from hitset.graphs import normalize_edge
 from hitset.localratio import DecompositionTrace, TraceStep
 
@@ -43,6 +52,12 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def branch_gadget(g: Graph) -> Graph:
+    """Graph of the gadget ``solve`` subtracts for pattern ``g``."""
+    p = Pattern(g)
+    return construct_good_graph(p, classify_pattern(p).decomposition).graph
+
+
 DIFFERENTIAL_PATTERNS = {
     "P3": path_graph(3),
     "P4": path_graph(4),
@@ -51,6 +66,10 @@ DIFFERENTIAL_PATTERNS = {
     "K3": complete_graph(3),
     "C4": cycle_graph(4),
     "paw": Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]),
+    "K4": complete_graph(4),
+    "diamond": Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
+    # the paw's branch gadget: two triangles sharing a vertex, plus a pendant edge there
+    "paw-gadget": branch_gadget(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])),
 }
 
 
@@ -367,3 +386,86 @@ def check_optimal_pair(
             raise VerificationError("negative cover mass")
         if load[v] > weights[v]:
             raise VerificationError("matching capacity violated")
+
+
+def scanning_embeddings(
+    g: Graph,
+    h: Graph,
+    *,
+    root=None,
+    root_image=None,
+    allowed=None,
+    pairs=(),
+    start: int = 0,
+):
+    """Reference matcher: draws every candidate from the anchor image's
+    neighbour tuple and closes each cycle by ``in`` on the sorted
+    neighbour tuples of the other placed neighbours, one candidate at a
+    time.  Same plan, arguments and yield order as ``embeddings``."""
+    if h.n == 0 or h.n > g.n:
+        return
+    if (root is None) != (root_image is None):
+        raise ValueError("root and root_image must be given together")
+    if pairs and root is not None:
+        raise ValueError("ordering pairs cannot be combined with a pinned root")
+    if start < 0:
+        raise ValueError("start must be nonnegative")
+    if start and root is not None:
+        raise ValueError("start cannot be combined with a pinned root")
+    g_adj = g.adjacency
+    _, where, steps = _plan(h, root, pairs)
+    first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
+    image = [-1] * h.n  # indexed by match position
+    used: set[int] = set()
+
+    def extend(idx: int):
+        if idx == h.n:
+            yield tuple([image[p] for p in where])
+            return
+        anchor, check, deg, above, below = steps[idx]
+        base = g_adj[image[anchor]] if idx else first
+        if above or below:  # candidates ascend, so the bounds cut a slice
+            lo = max((image[p] for p in above), default=-1)
+            hi = min((image[p] for p in below), default=g.n)
+            base = base[bisect_right(base, lo) : bisect_left(base, hi)]
+        for c in base:
+            if c in used:
+                continue
+            if allowed is not None and c not in allowed:
+                continue
+            if len(g_adj[c]) < deg:
+                continue
+            if check and any(image[p] not in g_adj[c] for p in check):
+                continue
+            image[idx] = c
+            used.add(c)
+            yield from extend(idx + 1)
+            used.discard(c)
+        image[idx] = -1
+
+    try:
+        yield from extend(0)
+    finally:
+        del extend  # it refers to itself: break the cycle so the search state is freed now
+
+
+def rooted_everywhere_cover(g: WeightedGraph, h: Pattern, trace: DecompositionTrace):
+    """Reference colouring and cover of the improved route after ``trace``.
+
+    Runs one rooted search at every positive vertex, with no prefilter by
+    the residual copies, then colours the conflict digraph and runs the
+    colour-guided cover on the copies within the positive vertices.
+    Returns the positive vertices, the colouring, the sorted conflict arcs
+    and the cover run.
+    """
+    d = classify_pattern(h).decomposition
+    positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
+    arcs: set[tuple[int, int]] = set()
+    for u in sorted(positive):
+        emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=positive)
+        if emb is not None:
+            arcs.update((u, w) for w in emb if w != u)
+    coloring = Coloring(color_digraph(g.n, arcs, h.k - 1), 2 * h.k)
+    residual = tuple(e for e in enumerate_copies(g.graph, h) if positive.issuperset(e))
+    run = cover_colored_hypergraph(residual, trace.final_weights, coloring, h.k)
+    return tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run

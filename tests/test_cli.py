@@ -368,6 +368,45 @@ def test_solve_budget_just_enough(files, star, capsys):
     assert "vertices: 0" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "{host}", "{p3}", "--budget", "-2"],
+        ["exact", "{host}", "{p3}", "--budget", "-1"],
+        ["exact", "{host}", "{p3}", "--cap", "-1"],
+        ["exact", "--vertex-cover", "{host}", "--cap", "-3"],
+        ["bench", "--pattern", "{p3}", "--count", "-1"],
+        ["bench", "--pattern", "{p3}", "--cap", "-1"],
+        ["bench", "--pattern", "{p3}", "--budget", "-5"],
+        ["bench", "--pattern", "{p3}", "--count", "two"],
+    ],
+)
+def test_negative_budget_cap_count_are_usage_errors(files, star, capsys, argv):
+    _, _, p3, _ = files
+    argv = [a.format(host=star, p3=p3) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out = capsys.readouterr()
+    assert exc.value.code == 2 and out.out == ""
+    assert f"argument {argv[-2]}: expected a nonnegative integer, got '{argv[-1]}'" in out.err
+
+
+def test_zero_budget_cap_count_accepted(files, star, capsys):
+    _, _, p3, _ = files
+    code, out, err = run(capsys, "solve", star, p3, "--budget", 0)
+    assert (code, out, err) == (3, "", "error: copy enumeration exceeded the budget of 0\n")
+    code, out, _ = run(capsys, "bench", "--pattern", p3, "--count", 2, "--cap", 0)
+    rows = out.splitlines()[1:]
+    assert code == 0 and len(rows) == 2
+    assert all(row.split("\t")[5] == "-" for row in rows)  # n = 10 is over the cap: no exact_opt
+
+
+def test_bench_count_zero_prints_header_only(files, capsys):
+    _, _, p3, _ = files
+    code, out, err = run(capsys, "bench", "--pattern", p3, "--count", 0)
+    assert (code, out, err) == (0, P3_BENCH.splitlines(keepends=True)[0], "")
+
+
 def test_exact_budget_message(files, star, capsys):
     _, _, p3, _ = files
     code, out, err = run(capsys, "exact", star, p3, "--budget", 1)

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import random
 
 import networkx as nx
@@ -32,6 +33,7 @@ from helpers import (
     is_embedding,
     naive_copy_sets,
     path_graph,
+    scanning_embeddings,
     star_graph,
 )
 from hitset import random_graph
@@ -244,7 +246,7 @@ def _vf2_maps(g: Graph, h: Graph, allowed=None) -> set[tuple[int, ...]]:
 
 
 def _differential_hosts():
-    for seed in range(4):
+    for seed in range(6):
         yield random_graph(6 + seed, 0.5, 9100 + seed), random.Random(seed)
 
 
@@ -298,6 +300,42 @@ def test_embeddings_start_with_root_rejected():
         list(embeddings(complete_graph(5), P3.graph, root=0, root_image=0, start=1))
     with pytest.raises(ValueError, match="nonnegative"):
         list(embeddings(complete_graph(5), P3.graph, start=-1))
+
+
+ORDER_PATTERNS = ("P3", "K3", "C4", "paw", "K4", "diamond", "paw-gadget")
+ORDER_PREFIX = 4_000  # a dense host has millions of paw-gadget embeddings
+
+
+def _order_hosts():
+    for seed in (1, 2):
+        yield random_graph(160, 4 / 160, seed)  # sparse: cycles are rare
+        yield random_graph(30, 0.5, seed)  # dense: most candidates fail some check
+
+
+@pytest.mark.parametrize("name", ORDER_PATTERNS)
+def test_embeddings_same_sequence_as_scanning_reference(name):
+    h = DIFFERENTIAL_PATTERNS[name]
+    pairs = symmetry_pairs(h)
+    for g in _order_hosts():
+        rng = random.Random(g.n)
+        allowed = frozenset(rng.sample(range(g.n), g.n * 3 // 4))
+        searches = [
+            {},
+            {"allowed": allowed},
+            {"pairs": pairs},
+            {"pairs": pairs, "allowed": allowed},
+            {"start": g.n // 3},
+            {"pairs": pairs, "start": g.n // 2},
+        ]
+        searches += [
+            {"root": root, "root_image": rng.randrange(g.n), "allowed": allowed}
+            for root in range(h.n)
+        ]
+        searches += [{"root": root, "root_image": image} for root in (0, h.n - 1) for image in (0, 7)]
+        for kwargs in searches:
+            got = list(itertools.islice(embeddings(g, h, **kwargs), ORDER_PREFIX))
+            want = list(itertools.islice(scanning_embeddings(g, h, **kwargs), ORDER_PREFIX))
+            assert got == want, kwargs
 
 
 def _edge_image(h: Graph, emb: tuple[int, ...]) -> frozenset:

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -18,6 +20,8 @@ from hitset import (
     enumerate_copies,
     exact_min_hitting_set,
     find_rooted_copy,
+    gadget_edge_glue,
+    pipeline,
     solve,
     solve_baseline,
     solve_cover_lp,
@@ -31,7 +35,9 @@ from helpers import (
     all_trees,
     complete_graph,
     cycle_graph,
+    hub_branches_pattern,
     path_graph,
+    rooted_everywhere_cover,
     star_graph,
     triangle_square_share_vertex,
 )
@@ -337,3 +343,54 @@ def test_solve_certificates_hold(g, h):
     assert sol.lower_bound <= opt <= sol.weight <= sol.guaranteed_factor * opt
     assert sol.weight == g.total(sol.hitting_set)
     assert verify_solution(g.graph, h, sol.hitting_set)
+
+
+def _prefilter_cases():
+    paw = Pattern(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)]))
+    bull = Pattern(Graph(5, [(0, 1), (1, 2), (0, 2), (1, 3), (2, 4)]))
+    hub = hub_branches_pattern()
+    for seed in (1, 2, 3):
+        for h in (paw, bull):
+            yield h, random_graph(40, 0.1, seed)
+            yield h, random_graph(16, 0.3, seed)
+        yield hub, gadget_edge_glue(random_graph(5, 0.6, seed), hub)[0]
+
+
+@pytest.mark.parametrize("weights", ["unit", "1..9"])
+def test_rooted_searches_only_at_residual_copies(weights, monkeypatch):
+    find = pipeline.find_rooted_copy
+    roots: list[int] = []
+
+    def counting_find(g, f, f_root, at, allowed=None):
+        roots.append(at)
+        return find(g, f, f_root, at, allowed)
+
+    monkeypatch.setattr(pipeline, "find_rooted_copy", counting_find)
+    arcs_seen = 0
+    for h, host in _prefilter_cases():
+        rng = random.Random(host.n)
+        ws = (1,) * host.n if weights == "unit" else tuple(rng.randint(1, 9) for _ in range(host.n))
+        g = WeightedGraph(host, ws)
+        roots.clear()
+        sol = solve(g, h)
+        positive, coloring, arcs, run = rooted_everywhere_cover(g, h, sol.detail.trace)
+        assert sol.detail.conflict_arcs == arcs
+        assert sol.detail.residual_vertices == positive
+        assert sol.detail.coloring == coloring
+        hitting = tuple(sorted(sol.detail.trace.zero_set | set(run.selected)))
+        detail = replace(
+            sol.detail,
+            residual_vertices=positive,
+            coloring=coloring,
+            conflict_arcs=arcs,
+            cover_steps=run.steps,
+        )
+        reference = replace(sol, hitting_set=hitting, weight=g.total(hitting), detail=detail)
+        assert solution_document(sol, explain=True) == solution_document(reference, explain=True)
+        # one rooted search per distinct vertex of a copy on positive vertices only
+        central = {
+            v for e in enumerate_copies(host, h) if set(positive).issuperset(e) for v in e
+        }
+        assert roots == sorted(central)
+        arcs_seen += len(arcs)
+    assert arcs_seen > 0
