@@ -46,13 +46,17 @@ def color_digraph(n: int, arcs: Iterable[tuple[int, int]], m: int) -> tuple[int,
     """Proper colouring, drawn from 0..2m, of the underlying graph of the
     digraph on vertices 0..n-1 with the given distinct arcs.
 
-    Requires every out-degree at most m.  Peels the smallest-id vertex of
-    total degree at most 2m, then colours greedily on re-insertion.
-    Degrees only fall, so each vertex joins the heap at most once.
+    Requires every out-degree at most m; raises ``ValueError`` for an arc
+    that is a self-loop or has an end outside 0..n-1.  Peels the
+    smallest-id vertex of total degree at most 2m, then colours greedily
+    on re-insertion.  Degrees only fall, so each vertex joins the heap at
+    most once.
     """
     out_degree = [0] * n
     ends: list[list[int]] = [[] for _ in range(n)]
     for u, v in arcs:
+        if u == v or not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"arc ({u}, {v}) is a self-loop or leaves the vertices 0..{n - 1}")
         out_degree[u] += 1
         ends[u].append(v)
         ends[v].append(u)
@@ -120,8 +124,8 @@ def cover_colored_hypergraph(
             raise ValueError(f"hyperedge {e} larger than the declared bound {k}")
         if len(e) < 2:
             raise ValueError(f"hyperedge {e} has fewer than two vertices")
-        if e[-1] >= len(colors):
-            raise ValueError(f"vertex {e[-1]} has no colour")
+        if e[0] < 0 or e[-1] >= len(colors):
+            raise ValueError(f"hyperedge {e} has a vertex with no colour")
         if len({colors[v] for v in e}) < 2:
             raise InvalidColoringError(f"monochromatic hyperedge {e}")
 

@@ -57,7 +57,11 @@ def _plan(
     when its later-matched vertex is placed: its image must exceed the images
     at the ``above`` positions and undercut the ``below`` ones.  Cached per
     (pattern, root, pairs), so each search order is prepared once per process.
+    Raises ``ValueError`` for a root or pair vertex outside the pattern.
     """
+    named = [v for pair in pairs for v in pair] + ([] if root is None else [root])
+    if any(not 0 <= v < h.n for v in named):
+        raise ValueError("root and pair vertices must be vertices of the pattern")
     adj = h.adjacency
     start = root if root is not None else max(range(h.n), key=lambda v: (len(adj[v]), -v))
     pos = {start: 0}  # insertion order is match order
@@ -96,14 +100,16 @@ def embeddings(
     The order is lexicographic in the images along the match order.
     A position with checks draws its candidates from one sorted set
     intersection, the order that filtering the anchor's neighbours gives.
-    ``root``/``root_image`` pin one pattern vertex to one host vertex.
-    ``allowed`` restricts all images.  Each ``(a, b)`` in ``pairs``
-    requires image[a] < image[b]; with ``symmetry_pairs(h)`` exactly one
-    embedding per subgraph copy is yielded.  ``start`` is a lower bound
-    on the image of the vertex matched first, so a search can resume
-    where an earlier one found its first embedding.
+    ``root``/``root_image`` pin one pattern vertex to one host vertex; a
+    ``root_image`` outside the host has no embedding, and a ``root``
+    outside the pattern raises ``ValueError``.  ``allowed`` restricts all
+    images.  Each ``(a, b)`` in ``pairs`` requires image[a] < image[b];
+    with ``symmetry_pairs(h)`` exactly one embedding per subgraph copy is
+    yielded.  ``start`` is a lower bound on the image of the vertex
+    matched first, so a search can resume where an earlier one found its
+    first embedding.
     """
-    if h.n == 0 or h.n > g.n:
+    if h.n == 0:
         return
     if (root is None) != (root_image is None):
         raise ValueError("root and root_image must be given together")
@@ -113,8 +119,10 @@ def embeddings(
         raise ValueError("start must be nonnegative")
     if start and root is not None:
         raise ValueError("start cannot be combined with a pinned root")
-    g_adj = g.adjacency
     _, where, steps = _plan(h, root, pairs)
+    if h.n > g.n or (root_image is not None and not 0 <= root_image < g.n):
+        return  # checked after the plan, so a bad root raises whatever the host
+    g_adj = g.adjacency
     # only a pattern with a cycle has checks, so trees never build the sets
     g_sets = g.neighbor_sets if any(step[1] for step in steps) else ()
     first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
@@ -206,9 +214,11 @@ def find_rooted_copy(
     at: int,
     allowed: frozenset[int] | None = None,
 ) -> tuple[int, ...] | None:
-    """First embedding of ``f`` mapping its root to ``at``, images in ``allowed``."""
-    if not 0 <= at < g.n:
-        return None
+    """First embedding of ``f`` mapping its root to ``at``, images in ``allowed``.
+
+    None when there is no such embedding, also when ``at`` is not a host
+    vertex.
+    """
     return next(embeddings(g, f, root=f_root, root_image=at, allowed=allowed), None)
 
 

@@ -107,5 +107,6 @@ def decompose_weights(
     if tuple(recon) != g.weights:
         raise VerificationError("weight conservation identity violated")
 
-    zero = frozenset(v for v in range(n) if final[v] == 0)
+    # weights stay nonnegative, so every vertex outside ``positive`` ends at weight 0
+    zero = frozenset(range(n)).difference(positive)
     return DecompositionTrace(tuple(steps), final, zero)

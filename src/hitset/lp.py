@@ -21,10 +21,12 @@ equal values.  Fractions are built only for the outputs, once, from the
 final basis.  Both solutions are exactly feasible, exactly optimal, and
 satisfy complementary slackness; their values agree exactly.
 
-Pricing is greedy (largest reduced cost, smallest index on ties) and
-falls back to Bland's rule after a run of degenerate pivots, which
-guarantees termination.  The leaving row is the least ratio, ties going
-to the smallest basic variable.
+A slack is the unit column of cost 0; row r's slack has column id
+``nstruct + r``, after the hyperedges.  One integer key, ``d - d * rc``,
+ranks all columns.  Pricing is greedy (least key, smallest id on ties)
+and falls back to Bland's rule (smallest id with key below ``d``) after
+a run of degenerate pivots, which guarantees termination.  The leaving
+row is the least ratio, ties going to the smallest basic variable.
 """
 
 from __future__ import annotations
@@ -94,33 +96,23 @@ def solve_cover_lp(
     degenerate_streak = 0
 
     while True:
-        # reduced costs times d: d - col_sum[j] for a column, -pi_int[r] for a slack
+        # key[j] = d - d * rc_j: the multiplier sum of a hyperedge, pi_int[r] + d for slack r
         get = (pi_int + [0]).__getitem__
-        col_sum = list(map(get, slots[0]))
+        key = list(map(get, slots[0]))
         for rows in slots[1:]:
-            col_sum = list(map(add, col_sum, map(get, rows)))
-        entering = -1
+            key = list(map(add, key, map(get, rows)))
+        key += map(d.__add__, pi_int)
         if degenerate_streak >= _BLAND_AFTER:
-            entering = next((j for j, s in enumerate(col_sum) if s < d), -1)
-            if entering == -1:
-                entering = next((nstruct + r for r, x in enumerate(pi_int) if x < 0), -1)
+            entering = next((j for j, k in enumerate(key) if k < d), -1)
         else:
-            least = min(col_sum)
-            if least < d:
-                entering = col_sum.index(least)
-            least_pi = min(pi_int)
-            if -least_pi > max(d - least, 0):
-                entering = nstruct + pi_int.index(least_pi)
+            least = min(key)
+            entering = key.index(least) if least < d else -1
         if entering == -1:
             break
 
         # entering reduced cost rc / d and direction / d; direction = adj times its column
-        if entering < nstruct:
-            rc = d - col_sum[entering]
-            rows = cols[entering]
-        else:
-            rows = (entering - nstruct,)
-            rc = -pi_int[rows[0]]
+        rc = d - key[entering]
+        rows = cols[entering] if entering < nstruct else (entering - nstruct,)
         if len(rows) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
             direction = list(map(itemgetter(rows[0]), adj))
         else:

@@ -111,7 +111,7 @@ def _route(
     chosen = set(trace.zero_set)
     detail = SolveDetail(trace, tau_star)
     if d is not None:
-        positive = frozenset(v for v in range(g.n) if trace.final_weights[v] > 0)
+        positive = frozenset(range(g.n)) - trace.zero_set
         residual = tuple(e for e in hyperedges if positive.issuperset(e))
         # one chosen copy per central vertex; its other vertices become arcs.
         # A rooted copy inside ``positive`` is a residual copy, so only their

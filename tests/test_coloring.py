@@ -54,6 +54,18 @@ def test_out_degree_violation():
         color_digraph(3, {(0, 1), (0, 2)}, 1)
 
 
+def test_self_loop_rejected():
+    with pytest.raises(ValueError, match="self-loop"):
+        color_digraph(3, [(0, 0)], 1)
+
+
+def test_arc_end_outside_vertices_rejected():
+    with pytest.raises(ValueError, match="leaves the vertices"):
+        color_digraph(3, [(-1, 0), (0, 1)], 1)
+    with pytest.raises(ValueError, match="leaves the vertices"):
+        color_digraph(3, [(0, 3)], 1)
+
+
 @pytest.mark.parametrize("seed", range(10))
 def test_random_digraph_property(seed):
     rng = random.Random(seed)
@@ -124,6 +136,14 @@ def test_color_simp_rejects_monochromatic():
     g = unit_weights(complete_graph(3))
     with pytest.raises(InvalidColoringError):
         _cover_copies(g, Coloring((0, 0, 0), 6))
+
+
+def test_color_simp_rejects_negative_vertex():
+    coloring = Coloring((0, 1, 2), 6)
+    with pytest.raises(ValueError, match="has a vertex with no colour"):
+        cover_colored_hypergraph([(-1, 0)], (Fraction(1),) * 3, coloring, 3)
+    with pytest.raises(ValueError, match="has a vertex with no colour"):
+        cover_colored_hypergraph([(0, 3)], (Fraction(1),) * 3, coloring, 3)
 
 
 def test_color_simp_rejects_small_palette():

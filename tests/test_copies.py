@@ -112,6 +112,37 @@ def test_disconnected_pattern_rejected():
         next(embeddings(complete_graph(5), two_edges, root=0, root_image=0))
 
 
+def test_root_outside_pattern_rejected():
+    edge = Graph(2, [(0, 1)])
+    for host in (complete_graph(4), Graph(1, [])):  # also on a host too small for any copy
+        for root in (5, -1):
+            with pytest.raises(ValueError, match="vertices of the pattern"):
+                list(embeddings(host, edge, root=root, root_image=0))
+
+
+def test_pair_vertex_outside_pattern_rejected():
+    for pairs in (((0, 5),), ((-1, 1),)):
+        with pytest.raises(ValueError, match="vertices of the pattern"):
+            list(embeddings(complete_graph(5), P3.graph, pairs=pairs))
+
+
+def test_negative_root_image_does_not_wrap():
+    c4 = cycle_graph(4)
+    edge = Graph(2, [(0, 1)])
+    assert list(embeddings(c4, edge, root=0, root_image=3)) == [(3, 0), (3, 2)]
+    for image in (-1, -4):
+        assert list(embeddings(c4, edge, root=0, root_image=image)) == []
+        assert find_rooted_copy(c4, edge, 0, image) is None
+
+
+def test_root_image_past_host_has_no_embedding():
+    c4 = cycle_graph(4)
+    edge = Graph(2, [(0, 1)])
+    for image in (4, 7):
+        assert list(embeddings(c4, edge, root=0, root_image=image)) == []
+        assert find_rooted_copy(c4, edge, 0, image) is None
+
+
 def test_match_plan_prepared_once_per_pattern(monkeypatch):
     paw = Pattern(DIFFERENTIAL_PATTERNS["paw"])
     g = unit_weights(random_graph(640, 4 / 640, 1))

@@ -177,6 +177,16 @@ def test_pairs_pass_fraction_reference(kind):
         check_optimal_pair(hg, weights, cover, matching)
 
 
+def test_bland_pricing_alone_reaches_the_optimum(monkeypatch):
+    instances = [_golden_instance(kind, s) for kind, seeds in GOLDEN_SEEDS.items() for s in seeds]
+    greedy = [solve_cover_lp(hg, weights)[0].value for hg, weights in instances]
+    monkeypatch.setattr(lp, "_BLAND_AFTER", 0)  # Bland's rule from the first pivot
+    for (hg, weights), value in zip(instances, greedy):
+        cover, matching = solve_cover_lp(hg, weights)
+        check_optimal_pair(hg, weights, cover, matching)
+        assert cover.value == value
+
+
 def _final_state(monkeypatch, hg, weights):
     """The simplex's final integer state, as handed to lp._certify."""
     seen = []
