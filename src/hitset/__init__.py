@@ -5,8 +5,8 @@ A hitting set for a fixed pattern graph H is a vertex set meeting every
 H-free.  This package provides the weighted approximation pipeline (an
 improved factor of k - 1/2 whenever the pattern has a semi-symmetric cut
 vertex, the trivial factor k otherwise), exact brute-force oracles,
-hard-instance generators and a CLI.  All solver arithmetic is exact
-rational.
+hard-instance generators and a CLI.  All solver arithmetic is exact;
+the LP holds its integers in int64 only where a bound proves they fit.
 """
 
 from .coloring import Coloring, color_digraph, cover_colored_hypergraph

@@ -8,18 +8,48 @@ revised simplex method; the optimal cover is read off the simplex
 multipliers of the final basis.
 
 The simplex is fraction-free (Edmonds 1967; Bareiss 1968).  Weights are
-scaled to integers by the lcm of their denominators, and the basis
-inverse is held as ``adj / d``: ``adj`` is the integer adjugate of the
-basis matrix and ``d = det(B) > 0``.  The basic solution and the
-multipliers are integer vectors over the same ``d``, so pricing and the
-ratio test compare integers, and a pivot on row ``l`` with pivot
-element ``p`` is the Bareiss update ``adj[i] = (adj[i] p - dir[i]
-adj[l]) // d`` (an exact division), after which ``d = p``.  The
-optimality certificate is checked in those same integers, scaled by
-``d * scale``: nonnegativity, every capacity, every cover constraint and
-equal values.  Fractions are built only for the outputs, once, from the
-final basis.  Both solutions are exactly feasible, exactly optimal, and
-satisfy complementary slackness; their values agree exactly.
+scaled to integers ``b = wint`` by the lcm of their denominators, and the
+whole state is one integer array bordered by the cost row and the
+right-hand side, ``T = d * [[B^-1, x_B, 0], [pi, z, 0]]``, with
+``d = det(B) > 0``: ``d B^-1`` is the adjugate of the basis matrix, ``pi``
+the multipliers, ``z`` the matching value, and the last column is zero
+for the padding of short columns.  Pricing and the ratio test compare
+integers.  The entering column's direction is the sum of its rows'
+columns of ``T``, less ``d`` in the cost row for a hyperedge (cost 1), so
+that entry is ``-d * rc``; a pivot on row ``l`` with pivot element
+``p = dir[l]`` is one Bareiss update ``T[i] = (T[i] p - dir[i] T[l]) // d``
+of every other row (an exact division), after which ``d = p``.  When
+``p == d``, rows with ``dir[i] == 0`` keep their values and are skipped.
+
+``T`` is held in int64 only while a bound proves that no intermediate
+reaches 2^63; beyond it, the same code runs on an object array of Python
+ints.  Every entry of ``T`` and ``dir`` is a determinant (Cramer): ``d``
+is det B, ``d B^-1`` holds the cofactors of B, ``d x_B[i]`` is det B
+with column i replaced by b, ``d pi[r]`` is det B with row r replaced by
+the basic costs, and ``dir[i]`` for i < m is det B with column i replaced
+by the entering column.  Each of these matrices has at most
+``s = min(m, nstruct)`` hyperedge columns, and Hadamard's inequality
+bounds a determinant by the product of its column norms: sqrt(k) for a
+hyperedge column (k = width, its most rows), sqrt(k + 1) for one whose
+row r reads 1, 1 for a unit column and ||b|| for b.  So ``d``, ``d B^-1``
+and ``dir[:m]`` are at most k^(s/2), ``d x_B`` at most ||b|| k^(s/2),
+``d pi`` at most (k + 1)^(s/2), ``d z`` at most s ||b|| k^(s/2), and the
+cost-row entry of ``dir`` and every pricing or direction sum at most
+k (k + 1)^(s/2) + k^(s/2).  All are at most
+``E = max(s ||b|| k^(s/2), (k + 1)^(s/2 + 1))``.  When E^2 < 2^62, which
+is checked once per LP in integers, each product of the update is below
+2^62 and their difference below 2^63, so int64 holds the whole solve.
+Otherwise a check before each pivot reads the actual maxima: with
+``big >= |T|``, ``q = big p + max|dir| max|T[l]|`` bounds the update
+before its division, the new entries are at most ``max(big, q // d)``,
+and the next pricing and direction sums are at most width of those plus
+``p``; once q or that sum could reach 2^63, ``T`` becomes an object
+array.  The optimality certificate does not rely on that proof: it is
+checked in the final integers, scaled by ``d * scale``: nonnegativity,
+every capacity, every cover constraint and equal values.  Fractions are
+built only for the outputs, once, from the final basis.  Both solutions
+are exactly feasible, exactly optimal, and satisfy complementary
+slackness; their values agree exactly.
 
 A slack is the unit column of cost 0; row r's slack has column id
 ``nstruct + r``, after the hyperedges.  One integer key, ``d - d * rc``,
@@ -34,13 +64,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import add, itemgetter, mul
+from operator import mul
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from .errors import VerificationError
 from .graphs import CopyHypergraph
 
 _BLAND_AFTER = 8
+_INT64 = 1 << 63
 _ZERO = Fraction(0)
 
 
@@ -82,77 +115,85 @@ def solve_cover_lp(
     cols = [tuple(row_of[v] for v in e) for e in edges]
     nstruct = len(cols)
     scale = lcm(*(w[v].denominator for v in verts))
-    # slots[t][j] is the t-th row of column j, or the always-zero row m
-    width = max(len(c) for c in cols)
-    slots = [[c[t] if t < len(c) else m for c in cols] for t in range(width)]
-
-    # B^-1 = adj / d, x_B = xb / d and pi = pi_int / d, all integer
-    adj = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    d = 1
-    basis = [nstruct + i for i in range(m)]
     wint = [w[v].numerator * (scale // w[v].denominator) for v in verts]
-    xb = list(wint)
-    pi_int = [0] * m
+    # slots[t, j] is the t-th row of column j, or the always-zero column m + 1
+    width = max(len(c) for c in cols)
+    slots = np.array([[c[t] if t < len(c) else m + 1 for c in cols] for t in range(width)])
+
+    # T = d * [[B^-1, x_B, 0], [pi, z, 0]], all integer; pi is row m
+    T = np.zeros((m + 1, m + 2), np.int64 if max(wint) < _INT64 else object)
+    T[:m, m] = wint
+    np.fill_diagonal(T[:m], 1)
+    d = 1
+    # past the once-per-LP bound, int64 needs a check before each pivot; big >= max |T|
+    fits = _fits_int64(width, min(m, nstruct), sum(x * x for x in wint))
+    checked = T.dtype != object and not fits
+    big = max(wint)
+    basis = [nstruct + i for i in range(m)]
     degenerate_streak = 0
 
     while True:
         # key[j] = d - d * rc_j: the multiplier sum of a hyperedge, pi_int[r] + d for slack r
-        get = (pi_int + [0]).__getitem__
-        key = list(map(get, slots[0]))
-        for rows in slots[1:]:
-            key = list(map(add, key, map(get, rows)))
-        key += map(d.__add__, pi_int)
+        pi = T[m]
+        key = np.concatenate((pi[slots].sum(0), pi[:m] + d))
         if degenerate_streak >= _BLAND_AFTER:
-            entering = next((j for j, k in enumerate(key) if k < d), -1)
+            below = (key < d).nonzero()[0]
+            entering = int(below[0]) if below.size else -1
         else:
-            least = min(key)
-            entering = key.index(least) if least < d else -1
+            entering = int(key.argmin())
+            if key[entering] >= d:
+                entering = -1
         if entering == -1:
             break
 
-        # entering reduced cost rc / d and direction / d; direction = adj times its column
-        rc = d - key[entering]
-        rows = cols[entering] if entering < nstruct else (entering - nstruct,)
-        if len(rows) == 1:  # itemgetter of one index returns the entry, not a 1-tuple
-            direction = list(map(itemgetter(rows[0]), adj))
+        # direction / d is B^-1 times the entering column; its cost-row entry is -rc
+        if entering < nstruct:
+            direction = T[:, cols[entering]].sum(1)
+            direction[m] -= d
         else:
-            direction = list(map(sum, map(itemgetter(*rows), adj)))
+            direction = T[:, entering - nstruct].copy()
 
         # least ratio xb[i] / dir[i] over dir[i] > 0, by cross-multiplication
-        leave = -1
-        for i in range(m):
-            if direction[i] > 0:
-                if leave == -1:
-                    leave = i
-                    continue
-                lhs = xb[i] * direction[leave]
-                rhs = xb[leave] * direction[i]
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
-        if leave == -1:
+        rows = (direction[:m] > 0).nonzero()[0].tolist()
+        if not rows:
             raise VerificationError("matching LP appears unbounded")
+        xs = T[rows, m].tolist()
+        fs = direction[rows].tolist()
+        t = 0
+        for i in range(1, len(rows)):
+            lhs = xs[i] * fs[t]
+            rhs = xs[t] * fs[i]
+            if lhs < rhs or (lhs == rhs and basis[rows[i]] < basis[rows[t]]):
+                t = i
+        leave = rows[t]
+        degenerate_streak = degenerate_streak + 1 if xs[t] == 0 else 0
 
-        degenerate_streak = degenerate_streak + 1 if xb[leave] == 0 else 0
-
-        # Bareiss pivot; the new determinant is p, and every division is exact
-        p = direction[leave]
-        prow = adj[leave]
-        px = xb[leave]
-        for i in range(m):
-            if i == leave:
-                continue
-            f = direction[i]
-            if f:
-                adj[i] = [(a * p - f * b) // d for a, b in zip(adj[i], prow)]
-                xb[i] = (xb[i] * p - f * px) // d
-            elif p != d:
-                adj[i] = [a * p // d for a in adj[i]]
-                xb[i] = xb[i] * p // d
-        # dual update: pi gains rc / p times the pivot row of B^-1
-        pi_int = [(a * p + rc * b) // d for a, b in zip(pi_int, prow)]
+        # Bareiss pivot on every row but the pivot row; the new determinant is p.
+        # While checked, q bounds |T p - dir prow|, the new |T| is at most max(big, q // d),
+        # and each next pricing or direction sum is at most width times that, plus p
+        p = fs[t]
+        if checked:
+            q = big * p + int(abs(direction).max()) * int(abs(T[leave]).max())
+            if q >= _INT64 or width * max(big, q // d) + p >= _INT64:
+                T, direction = T.astype(object), direction.astype(object)
+                checked = False
+        prow = T[leave]
+        direction[leave] = 0
+        if p == d:  # rows with a zero direction entry keep their values
+            changed = direction.nonzero()[0]
+            T[changed] -= direction[changed, None] * prow // d
+            if checked and changed.size:
+                big = max(big, int(abs(T[changed]).max()))
+        else:
+            T = (T * p - direction[:, None] * prow) // d
+            T[leave] = prow
+            if checked:
+                big = int(abs(T).max())
         d = p
         basis[leave] = entering
 
+    xb = T[:m, m].tolist()
+    pi_int = T[m, :m].tolist()
     den = d * scale
     value = Fraction(_certify(cols, basis, xb, pi_int, d, wint), den)
     basic = {edges[j]: Fraction(x, den) for j, x in zip(basis, xb) if j < nstruct}
@@ -162,14 +203,26 @@ def solve_cover_lp(
     )
 
 
+def _fits_int64(width: int, s: int, b2: int) -> bool:
+    """True when E^2 < 2^62 for the module docstring's Hadamard bound E.
+
+    s bounds the basic hyperedge columns, width their rows, and b2 is
+    ||wint||^2; E^2 is the larger of s^2 b2 width^s and (width + 1)^(s + 2).
+    """
+    return s * s * b2 * width**s < 1 << 62 and (width + 1) ** (s + 2) < 1 << 62
+
+
 def _certify(cols, basis, xb, pi_int, d, wint) -> int:
     """Check the final basis in the simplex's integers; return the common value times d * scale.
 
     Cover mass is pi_int / d, matching mass xb / (d * scale) and weight
     wint / scale, so each condition below is the exact one multiplied by
-    d * scale, which is positive because every pivot element is.  A
-    failure here is always a solver bug.
+    d * scale, which is positive because every pivot element is; a d
+    that is not positive is rejected.  A failure here is always a solver
+    bug.
     """
+    if d <= 0:
+        raise VerificationError("basis determinant is not positive")
     nstruct = len(cols)
     load = [0] * len(wint)
     flow = 0

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import operator
 import random
 import sys
 from bisect import bisect_left, bisect_right
@@ -386,6 +388,91 @@ def check_optimal_pair(
             raise VerificationError("negative cover mass")
         if load[v] > weights[v]:
             raise VerificationError("matching capacity violated")
+
+
+def list_simplex_state(hg: CopyHypergraph, weights, bland_after: int):
+    """Reference fraction-free simplex on Python lists, one adjugate row at a time.
+
+    The pivot rule of ``lp.solve_cover_lp`` with a separate Bareiss update
+    for ``adj``, ``xb`` and ``pi_int``.  Returns the final state as handed to
+    ``lp._certify``, ``(cols, basis, xb, pi_int, d, wint)``, and ``peak``, the
+    largest magnitude of a product ``a * p`` or ``f * b`` the updates formed
+    (at or above 2**63 means int64 could not have held that pivot).
+    """
+    verts = list(hg.covered_vertices())
+    w = {v: Fraction(weights[v]) for v in verts}
+    m = len(verts)
+    row_of = {v: i for i, v in enumerate(verts)}
+    cols = [tuple(row_of[v] for v in e) for e in hg.hyperedges]
+    nstruct = len(cols)
+    scale = math.lcm(*(w[v].denominator for v in verts))
+    width = max(len(c) for c in cols)
+    slots = [[c[t] if t < len(c) else m for c in cols] for t in range(width)]
+
+    adj = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    d = 1
+    basis = [nstruct + i for i in range(m)]
+    wint = [w[v].numerator * (scale // w[v].denominator) for v in verts]
+    xb = list(wint)
+    pi_int = [0] * m
+    degenerate_streak = 0
+    peak = 0
+
+    while True:
+        get = (pi_int + [0]).__getitem__
+        key = list(map(get, slots[0]))
+        for rows in slots[1:]:
+            key = list(map(operator.add, key, map(get, rows)))
+        key += map(d.__add__, pi_int)
+        if degenerate_streak >= bland_after:
+            entering = next((j for j, k in enumerate(key) if k < d), -1)
+        else:
+            least = min(key)
+            entering = key.index(least) if least < d else -1
+        if entering == -1:
+            break
+
+        rc = d - key[entering]
+        rows = cols[entering] if entering < nstruct else (entering - nstruct,)
+        direction = [sum(a[r] for r in rows) for a in adj]
+
+        leave = -1
+        for i in range(m):
+            if direction[i] > 0:
+                if leave == -1:
+                    leave = i
+                    continue
+                lhs = xb[i] * direction[leave]
+                rhs = xb[leave] * direction[i]
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                    leave = i
+        if leave == -1:
+            raise VerificationError("matching LP appears unbounded")
+
+        degenerate_streak = degenerate_streak + 1 if xb[leave] == 0 else 0
+
+        p = direction[leave]
+        prow = adj[leave]
+        px = xb[leave]
+        big = max(max(map(abs, row)) for row in adj)
+        big = max(big, max(map(abs, xb)), max(map(abs, pi_int)))
+        prow_big = max(max(map(abs, prow)), abs(px))
+        peak = max(peak, big * p, max(max(map(abs, direction)), abs(rc)) * prow_big)
+        for i in range(m):
+            if i == leave:
+                continue
+            f = direction[i]
+            if f:
+                adj[i] = [(a * p - f * b) // d for a, b in zip(adj[i], prow)]
+                xb[i] = (xb[i] * p - f * px) // d
+            elif p != d:
+                adj[i] = [a * p // d for a in adj[i]]
+                xb[i] = xb[i] * p // d
+        pi_int = [(a * p + rc * b) // d for a, b in zip(pi_int, prow)]
+        d = p
+        basis[leave] = entering
+
+    return (cols, basis, xb, pi_int, d, wint), peak
 
 
 def scanning_embeddings(

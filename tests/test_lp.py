@@ -17,6 +17,7 @@ from hitset import lp
 from helpers import (
     check_complementary_slackness,
     check_optimal_pair,
+    list_simplex_state,
     random_hypergraph,
     random_weights,
 )
@@ -191,9 +192,9 @@ def _final_state(monkeypatch, hg, weights):
     """The simplex's final integer state, as handed to lp._certify."""
     seen = []
     certify = lp._certify
-    monkeypatch.setattr(lp, "_certify", lambda *state: seen.append(state) or certify(*state))
-    solve_cover_lp(hg, weights)
-    monkeypatch.undo()
+    with monkeypatch.context() as patch:
+        patch.setattr(lp, "_certify", lambda *state: seen.append(state) or certify(*state))
+        solve_cover_lp(hg, weights)
     return seen[0]
 
 
@@ -215,15 +216,54 @@ def test_integer_certificate_rejects_each_violation(monkeypatch):
         values[k] = x
         return values
 
-    def rejects(message, bad_xb=xb, bad_pi=pi_int):
+    def rejects(message, bad_xb=xb, bad_pi=pi_int, bad_d=d):
         with pytest.raises(VerificationError, match=message):
-            lp._certify(cols, basis, bad_xb, bad_pi, d, wint)
+            lp._certify(cols, basis, bad_xb, bad_pi, bad_d, wint)
 
     rejects("negative matching mass", bad_xb=changed(xb, i, -1))
     rejects("negative cover mass", bad_pi=changed(pi_int, r, -1))
     rejects("matching capacity violated", bad_xb=changed(xb, i, xb[i] + 1))
     rejects("cover constraint violated", bad_pi=changed(pi_int, r, pi_int[r] - 1))
     rejects("cover and matching values differ", bad_pi=changed(pi_int, 0, pi_int[0] + 1))
+    rejects("basis determinant is not positive", bad_d=0)
+    rejects("basis determinant is not positive", bad_d=-d)
+    # all-zero masses over d = 0 pass every other condition
+    zeros = [0] * len(xb)
+    rejects("basis determinant is not positive", bad_xb=zeros, bad_pi=zeros, bad_d=0)
+
+
+# Differential test of the array simplex against the list-based reference:
+# the same pivot rule must reach the same final integer state.
+@pytest.mark.parametrize("bland_after", (0, 2, 8))
+@pytest.mark.parametrize("kind", sorted(GOLDEN_SEEDS))
+def test_final_state_matches_list_reference(monkeypatch, kind, bland_after):
+    monkeypatch.setattr(lp, "_BLAND_AFTER", bland_after)
+    for seed in range(9300, 9340):
+        hg, weights = _golden_instance(kind, seed)
+        state, _ = list_simplex_state(hg, weights, bland_after)
+        assert _final_state(monkeypatch, hg, weights) == state
+
+
+@pytest.mark.parametrize("bits", (40, 56, 64))
+def test_final_state_matches_list_reference_with_large_weights(monkeypatch, bits):
+    # 2^64 and up: Python ints from the first pivot.  2^56: int64 at first, but
+    # most of these solves form a Bareiss product of 2^63 or more later on.
+    # 2^40: past the once-per-LP bound, so every pivot is checked.
+    rng = random.Random(9400 + bits)
+    overflows = 0
+    for _ in range(20):
+        n = rng.randint(16, 24)
+        hg = CopyHypergraph(n, random_hypergraph(rng, n, max_edges=80))
+        weights = tuple(Fraction(rng.randint(1 << bits, 1 << bits + 1)) for _ in range(n))
+        state, peak = list_simplex_state(hg, weights, lp._BLAND_AFTER)
+        cols, _, _, _, _, wint = state
+        assert (max(wint) >= 1 << 63) == (bits == 64)
+        width = max(map(len, cols))
+        assert not lp._fits_int64(width, min(len(wint), len(cols)), sum(x * x for x in wint))
+        overflows += peak >= 1 << 63
+        assert _final_state(monkeypatch, hg, weights) == state
+    if bits == 56:
+        assert overflows >= 10
 
 
 def _highs_tau(hg, weights):
