@@ -71,8 +71,9 @@ def test_vertex_cover_examples():
 
 @pytest.mark.parametrize("seed", range(8))
 def test_vertex_cover_double_oracle(seed):
-    g = random_graph(8, 0.5, 200 + seed)
-    assert exact_min_vertex_cover(g) == naive_min_vertex_cover(g)
+    for n, p in ((8, 0.5), (10, 0.7), (11, 0.8), (12, 0.9)):
+        g = random_graph(n, p, 200 + seed)
+        assert exact_min_vertex_cover(g) == naive_min_vertex_cover(g), (n, p)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -118,32 +119,60 @@ def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
     # must raise even under python -O, which strips asserts
     from hitset import oracle
 
-    monkeypatch.setattr(oracle, "_completes", lambda *args: False)
+    search = oracle._least_cover
+
+    def no_completion(pending, excluded, current, w, best, floor):
+        # the optimum search stops at floor 0; each rebuild query passes the
+        # optimum as its floor, and answers "no completion" here
+        if floor:
+            return best
+        return search(pending, excluded, current, w, best, floor)
+
+    monkeypatch.setattr(oracle, "_least_cover", no_completion)
     with pytest.raises(VerificationError, match="optimal weight"):
         min_weight_cover(((0, 1), (1, 2)), (Fraction(1),) * 3)
 
 
+def test_min_weight_cover_rejects_empty_hyperedge():
+    with pytest.raises(ValueError, match="empty hyperedge"):
+        min_weight_cover(((0, 1), ()), (Fraction(1),) * 2)
+
+
+def test_min_weight_cover_rejects_float_weights():
+    with pytest.raises(TypeError, match="floats"):
+        min_weight_cover(((0, 1),), [0.5, 0.5])
+
+
 def _least_optimal_cover(edges, weights):
-    """Brute force: the least (weight, sorted vertex tuple) over all covers."""
+    """Brute force over covers drawn from the edges' vertices: the least weight,
+    ties broken by taking each vertex in turn whenever an optimal cover can."""
+    universe = sorted({v for e in edges for v in e})
     covers = (
         s
-        for size in range(len(weights) + 1)
-        for s in itertools.combinations(range(len(weights)), size)
+        for size in range(len(universe) + 1)
+        for s in itertools.combinations(universe, size)
         if all(set(e) & set(s) for e in edges)
     )
-    weight, best = min((sum((weights[v] for v in s), Fraction(0)), s) for s in covers)
+    weight, _, best = min(
+        (sum((weights[v] for v in s), Fraction(0)), [v not in s for v in universe], s)
+        for s in covers
+    )
     return best, weight
 
 
 def test_min_weight_cover_least_optimal_set():
-    # with strictly positive weights no optimal set contains another, so
-    # the lexicographically least optimal tuple is the documented tie-break;
-    # small integer weights make ties common
-    for seed in range(600):
+    # with strictly positive weights no optimal set contains another, so the
+    # tie-break yields the lexicographically least optimal tuple; small
+    # integer weights make ties common, zero weights make optimal supersets,
+    # and denominators 2, 3 and 5 make the weights' common step 1/30, which
+    # the rebuild queries must use
+    for seed in range(800):
         rng = random.Random(1300 + seed)
         n = rng.randint(2, 9)
         edges = random_hypergraph(rng, n, max_edges=10)
-        if seed % 2:
+        if seed >= 600:
+            weights = tuple(Fraction(rng.randint(0, 6), rng.choice((2, 3, 5))) for _ in range(n))
+        elif seed % 2:
             weights = random_weights(rng, n, max_den=2)
         else:
             weights = tuple(Fraction(rng.randint(1, 3)) for _ in range(n))
