@@ -2,19 +2,24 @@
 
 These solvers exist to validate the approximation pipeline, not to
 scale.  One branch-and-bound, ``_least_cover``, does every search over
-a hypergraph given as vertex bitmasks: branch on the uncovered
-hyperedge with the fewest undecided vertices, bound with a greedy
-family of disjoint uncovered hyperedges, start from a greedy incumbent.
-It deliberately does not touch the LP module, so LP tests can compare
-against it as an independent reference.  A vertex cover is the same
-search over the graph's edges as 2-element hyperedges with unit weights.
+a hypergraph given as vertex bitmasks with positive integer keys:
+branch on the uncovered hyperedge with the fewest undecided vertices,
+bound with a greedy family of disjoint uncovered hyperedges, start from
+a greedy incumbent.  It deliberately does not touch the LP module, so
+LP tests can compare against it as an independent reference.  A vertex
+cover is the same search over the graph's edges as 2-element
+hyperedges with unit keys.
 
-Tie-breaking is deterministic: after the optimal weight is known, the
-returned set is rebuilt greedily vertex by vertex, keeping a vertex
-exactly when some optimal completion through it exists.  For strictly
-positive weights this is the lexicographically least optimal set.  Each
-"does such a completion exist?" is the same search again, with the
-optimum as its floor, so it stops at the first completion it finds.
+Tie-breaking is deterministic, and the search runs once.  Of N
+candidate vertices, vertex i has the key ``w(i)*L*2^N - 2^(N-1-i)``,
+with L the lcm of the weights' denominators.  The 2^(N-1-i) terms of
+any set sum below 2^N, the key of the least weight step 1/L, so key
+sums order sets by weight, then prefer the set that takes the first
+vertex where two sets differ; no two sets tie.  The least key sum is a
+unique optimum, and the low N bits of its negation name its vertices.
+For strictly positive weights it is the lexicographically least optimal
+set.  Zero-weight vertices are all taken first, and the search covers
+what they leave.
 """
 
 from __future__ import annotations
@@ -39,16 +44,14 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _bound_and_branch(
-    pending: list[int], excluded: int, w: list[Fraction]
-) -> tuple[Fraction, int] | None:
+def _bound_and_branch(pending: list[int], excluded: int, w: list[int]) -> tuple[int, int] | None:
     """Greedy bound from disjoint undecided parts of pending edges, and the
     first undecided part with the fewest vertices; None when a pending edge
     has no undecided vertex left."""
     branch = 0
     branch_count = 1 << 30
     taken = 0
-    bound = _ZERO
+    bound = 0
     for em in pending:
         und = em & ~excluded
         if und == 0:
@@ -63,16 +66,8 @@ def _bound_and_branch(
     return bound, branch
 
 
-def _least_cover(
-    pending: list[int],
-    excluded: int,
-    current: Fraction,
-    w: list[Fraction],
-    best: Fraction,
-    floor: Fraction,
-) -> Fraction:
-    """The least weight of a cover completing ``current``, or ``best`` if none is
-    lighter; returns as soon as ``best <= floor``."""
+def _least_cover(pending: list[int], excluded: int, current: int, w: list[int], best: int) -> int:
+    """The least key sum of a cover completing ``current``, or ``best`` if none is lighter."""
     if current >= best:
         return best
     if not pending:
@@ -82,31 +77,29 @@ def _least_cover(
         return best
     for i in _bits(step[1]):
         rest = [em for em in pending if not em >> i & 1]
-        best = _least_cover(rest, excluded, current + w[i], w, best, floor)
-        if best <= floor:
-            return best
+        best = _least_cover(rest, excluded, current + w[i], w, best)
         excluded |= 1 << i
     return best
 
 
-def _least_weight(masks: list[int], w: list[Fraction]) -> Fraction:
-    """The least weight of a set meeting every mask: a greedy incumbent, then the search."""
-    incumbent = _ZERO
+def _least_weight(masks: list[int], w: list[int]) -> int:
+    """The least key sum of a set meeting every mask: a greedy incumbent, then the search."""
+    incumbent = 0
     pending = masks
     while pending:
-        # cheapest weight per newly hit mask
+        # cheapest key per newly hit mask
         pick = None
         for i in range(len(w)):
             hits = sum(1 for em in pending if em >> i & 1)
             if hits == 0:
                 continue
-            key = (w[i] / hits, i)
+            key = (Fraction(w[i], hits), i)
             if pick is None or key < pick:
                 pick = key
         i = pick[1]
         incumbent += w[i]
         pending = [em for em in pending if not em >> i & 1]
-    return _least_cover(masks, 0, _ZERO, w, incumbent, _ZERO)  # no cover weighs below 0
+    return _least_cover(masks, 0, 0, w, incumbent)
 
 
 def min_weight_cover(
@@ -128,28 +121,21 @@ def min_weight_cover(
     w = [as_fraction(weights[v]) for v in universe]
     if any(x < 0 for x in w):
         raise ValueError("weights must be nonnegative")
-    masks = [sum(1 << idx[v] for v in e) for e in canon]
-    target = _least_weight(masks, w)
+    n = len(universe)
+    scale = math.lcm(*(x.denominator for x in w)) << n
+    keys = [int(x * scale) - (1 << (n - 1 - i)) for i, x in enumerate(w)]
+    # every zero-weight vertex is taken; the search covers the rest with positive keys
+    free = sum(1 << i for i, x in enumerate(w) if not x)
+    masks = [m for m in (sum(1 << idx[v] for v in e) for e in canon) if not m & free]
+    least = _least_weight(masks, keys)
 
-    # every weight and bound is a multiple of 1/lcm, so a search whose incumbent
-    # is target + 1/lcm prunes exactly the branches that cannot reach target
-    above = target + Fraction(1, math.lcm(*(x.denominator for x in w)))
-    chosen: list[int] = []
-    chosen_weight = _ZERO
-    pending = masks
-    excluded = 0
-    for i in range(len(universe)):
-        trial = chosen_weight + w[i]
-        remaining = [em for em in pending if not em >> i & 1]
-        if _least_cover(remaining, excluded, trial, w, above, target) == target:
-            chosen.append(i)
-            chosen_weight = trial
-            pending = remaining
-        else:
-            excluded |= 1 << i
-    if chosen_weight != target or pending:
-        raise VerificationError("rebuilt cover does not reach the optimal weight")
-    return tuple(universe[i] for i in chosen), target
+    perturbation = -least % (1 << n)  # the sum of 2^(n-1-i) over the optimum's vertices i
+    chosen = [i for i in range(n) if perturbation >> (n - 1 - i) & 1]
+    taken = free | sum(1 << i for i in chosen)
+    if any(not m & taken for m in masks) or sum(keys[i] for i in chosen) != least:
+        raise VerificationError("decoded cover does not match the optimal weight's key sum")
+    weight = sum((w[i] for i in chosen), _ZERO)
+    return tuple(universe[i] for i in range(n) if taken >> i & 1), weight
 
 
 def exact_min_hitting_set(
@@ -171,7 +157,7 @@ def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     if g.n > cap:
         raise ValueError(f"instance has {g.n} vertices, oracle cap is {cap}")
     masks = [1 << u | 1 << v for u, v in g.sorted_edges()]
-    return int(_least_weight(masks, [Fraction(1)] * g.n))
+    return _least_weight(masks, [1] * g.n)
 
 
 @functools.cache

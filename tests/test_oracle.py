@@ -107,30 +107,41 @@ def test_cap_enforced():
 
 
 def test_min_weight_cover_zero_weights():
+    # zero-weight vertices are all taken, and they hit both edges for free
     edges = ((0, 1), (1, 2))
     weights = (Fraction(0), Fraction(5), Fraction(0))
-    chosen, weight = min_weight_cover(edges, weights)
-    assert weight == 0
-    assert set(chosen) >= {0, 2} or 1 in chosen  # hits both edges for free
+    assert min_weight_cover(edges, weights) == ((0, 2), Fraction(0))
 
 
 def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
-    # a rebuild that cannot reach the optimal weight is a solver bug; it
-    # must raise even under python -O, which strips asserts
+    # a search result that does not decode into a cover with that key sum is
+    # a solver bug; it must raise even under python -O, which strips asserts
     from hitset import oracle
 
     search = oracle._least_cover
 
-    def no_completion(pending, excluded, current, w, best, floor):
-        # the optimum search stops at floor 0; each rebuild query passes the
-        # optimum as its floor, and answers "no completion" here
-        if floor:
-            return best
-        return search(pending, excluded, current, w, best, floor)
+    def off_by_one(pending, excluded, current, w, best):
+        # only the outermost call starts from an empty set, current == 0
+        least = search(pending, excluded, current, w, best)
+        return least + 1 if current == 0 else least
 
-    monkeypatch.setattr(oracle, "_least_cover", no_completion)
+    monkeypatch.setattr(oracle, "_least_cover", off_by_one)
     with pytest.raises(VerificationError, match="optimal weight"):
         min_weight_cover(((0, 1), (1, 2)), (Fraction(1),) * 3)
+
+
+@pytest.mark.parametrize("den", (1, 6, 35))
+def test_min_weight_cover_least_weight_gap(den):
+    # the smallest weight gap, 1/den, against the largest tie-break
+    # perturbation: all of vertices 0..n-2 against vertex n-1 alone
+    gap = Fraction(1, den)
+    a = 1 + gap
+    for n in range(3, 14):
+        edges = tuple((i, n - 1) for i in range(n - 1))
+        lighter = (a,) * (n - 1) + ((n - 1) * a - gap,)
+        assert min_weight_cover(edges, lighter) == ((n - 1,), (n - 1) * a - gap)
+        tied = (a,) * (n - 1) + ((n - 1) * a,)
+        assert min_weight_cover(edges, tied) == (tuple(range(n - 1)), (n - 1) * a)
 
 
 def test_min_weight_cover_rejects_empty_hyperedge():
@@ -165,7 +176,7 @@ def test_min_weight_cover_least_optimal_set():
     # tie-break yields the lexicographically least optimal tuple; small
     # integer weights make ties common, zero weights make optimal supersets,
     # and denominators 2, 3 and 5 make the weights' common step 1/30, which
-    # the rebuild queries must use
+    # the tie-break keys must scale by
     for seed in range(800):
         rng = random.Random(1300 + seed)
         n = rng.randint(2, 9)
