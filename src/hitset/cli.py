@@ -174,20 +174,12 @@ def _cmd_gen(args) -> int:
     if args.kind in ("vc-edge-gadget", "vc-vertex-gadget"):
         base = _read_weighted_graph(args.base).graph
         h = _read_pattern(args.pattern)
-        if args.kind == "vc-edge-gadget":
-            out, provenance = gadget_edge_glue(base, h)
-            text = serialize_graph(unit_weights(out))
-            text += "# provenance\n"
-            for new_id in sorted(provenance):
-                (a, b), hv = provenance[new_id]
-                text += f"# v {new_id} {a} {b} {hv}\n"
-        else:
-            out, provenance = gadget_vertex_glue(base, h)
-            text = serialize_graph(unit_weights(out))
-            text += "# provenance\n"
-            for new_id in sorted(provenance):
-                u, hv = provenance[new_id]
-                text += f"# v {new_id} {u} {hv}\n"
+        glue = gadget_edge_glue if args.kind == "vc-edge-gadget" else gadget_vertex_glue
+        out, provenance = glue(base, h)
+        text = serialize_graph(unit_weights(out)) + "# provenance\n"
+        for new_id, (site, hv) in sorted(provenance.items()):
+            ids = site if isinstance(site, tuple) else (site,)  # a base edge or a base vertex
+            text += f"# v {new_id} {' '.join(map(str, ids))} {hv}\n"
         sys.stdout.write(text)
         return 0
     # the one kind left that argparse admits is gl

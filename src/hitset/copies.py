@@ -126,8 +126,7 @@ def embeddings(
     # only a pattern with a cycle has checks, so trees never build the sets
     g_sets = g.neighbor_sets if any(step[1] for step in steps) else ()
     first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
-    image = [-1] * h.n  # indexed by match position
-    used: set[int] = set()
+    image = [-1] * h.n  # indexed by match position; -1 until placed
 
     def extend(idx: int) -> Iterator[tuple[int, ...]]:
         if idx == h.n:
@@ -149,16 +148,14 @@ def embeddings(
             hi = min((image[p] for p in below), default=g.n)
             base = base[bisect_right(base, lo) : bisect_left(base, hi)]
         for c in base:
-            if c in used:
+            if c in image:
                 continue
             if allowed is not None and c not in allowed:
                 continue
             if len(g_adj[c]) < deg:
                 continue
             image[idx] = c
-            used.add(c)
             yield from extend(idx + 1)
-            used.discard(c)
         image[idx] = -1
 
     try:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import ParseError
 from .graphs import Edge, Graph, Pattern, normalize_edge, serialize_graph, unit_weights
-from .graphs import _INTEGER, _parse_int, _read_lines
+from .graphs import _INTEGER, _glue, _parse_int, _read_lines
 from .patterns import branches_at
 
 
@@ -74,19 +74,7 @@ def gadget_edge_glue(g: Graph, h: Pattern) -> tuple[Graph, dict[int, tuple[Edge,
     if any(len(row) < 2 for row in adj):
         raise ValueError("edge gadget needs a pattern of minimum degree 2")
     x0, y0 = _glue_edge(h)
-    nxt = g.n
-    edges = set(g.edges)
-    provenance: dict[int, tuple[Edge, int]] = {}
-    for a, b in g.sorted_edges():
-        mapping = {x0: a, y0: b}
-        for hv in range(h.k):
-            if hv not in mapping:
-                mapping[hv] = nxt
-                provenance[nxt] = ((a, b), hv)
-                nxt += 1
-        for p, q in h.graph.sorted_edges():
-            edges.add(normalize_edge(mapping[p], mapping[q]))
-    return Graph(nxt, frozenset(edges)), provenance
+    return _glue(g, g.sorted_edges(), lambda e: {x0: e[0], y0: e[1]}, h.graph.sorted_edges())
 
 
 def gadget_vertex_glue(g: Graph, h: Pattern) -> tuple[Graph, dict[int, tuple[int, int]]]:
@@ -103,20 +91,8 @@ def gadget_vertex_glue(g: Graph, h: Pattern) -> tuple[Graph, dict[int, tuple[int
         raise ValueError("vertex gadget needs a degree-1 pattern vertex")
     v0 = leaves[0]
     u0 = adj[v0][0]
-    piece_edges = [e for e in h.graph.sorted_edges() if v0 not in e]
-    nxt = g.n
-    edges = set(g.edges)
-    provenance: dict[int, tuple[int, int]] = {}
-    for u in range(g.n):
-        mapping = {u0: u}
-        for hv in range(h.k):
-            if hv != v0 and hv not in mapping:
-                mapping[hv] = nxt
-                provenance[nxt] = (u, hv)
-                nxt += 1
-        for p, q in piece_edges:
-            edges.add(normalize_edge(mapping[p], mapping[q]))
-    return Graph(nxt, frozenset(edges)), provenance
+    piece = [e for e in h.graph.sorted_edges() if v0 not in e]
+    return _glue(g, range(g.n), lambda u: {u0: u}, piece)
 
 
 @dataclass(frozen=True)

@@ -121,6 +121,28 @@ def induced_subgraph(g: Graph, vertices: Iterable[int]) -> tuple[Graph, tuple[in
     return Graph(len(ids), frozenset(edges)), ids
 
 
+def _glue(g: Graph, sites: Iterable, fixed: Callable, piece: list[Edge]) -> tuple[Graph, dict]:
+    """Hang a copy of the pattern edges ``piece`` on ``g`` at every site.
+
+    ``fixed(site)`` maps some pattern vertices to host vertices, the same
+    pattern vertices at every site.  Every other vertex of ``piece`` gets
+    the next fresh id, in ascending pattern-vertex order.  Returns the
+    glued graph and the provenance ``{fresh id: (site, pattern vertex)}``.
+    """
+    edges = set(g.edges)
+    provenance: dict[int, tuple] = {}
+    fresh = None
+    for site in sites:
+        at = fixed(site)
+        if fresh is None:
+            fresh = sorted({x for e in piece for x in e}.difference(at))
+        for hv in fresh:
+            at[hv] = g.n + len(provenance)
+            provenance[at[hv]] = (site, hv)
+        edges.update(normalize_edge(at[p], at[q]) for p, q in piece)
+    return Graph(g.n + len(provenance), frozenset(edges)), provenance
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Graph plus one nonnegative exact rational weight per vertex."""

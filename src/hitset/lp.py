@@ -70,7 +70,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import VerificationError
-from .graphs import CopyHypergraph
+from .graphs import CopyHypergraph, as_fraction
 
 _BLAND_AFTER = 8
 _INT64 = 1 << 63
@@ -98,12 +98,13 @@ def solve_cover_lp(
 ) -> tuple[FractionalCover, FractionalMatching]:
     """Optimal fractional cover and matching with exactly equal values.
 
-    Requires strictly positive weights on every covered vertex; the
-    output is deterministic for a fixed input.
+    Requires strictly positive weights on every covered vertex; a float
+    weight is a ``TypeError``.  The output is deterministic for a fixed
+    input.
     """
     verts = list(hg.covered_vertices())
     edges = list(hg.hyperedges)
-    w = {v: weights[v] for v in verts}
+    w = {v: as_fraction(weights[v]) for v in verts}
     for v in verts:
         if w[v] <= 0:
             raise ValueError(f"covered vertex {v} must have positive weight")

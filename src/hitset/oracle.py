@@ -108,8 +108,9 @@ def min_weight_cover(
     """Exact minimum-weight set hitting every hyperedge.
 
     Only vertices occurring in some hyperedge are candidates.  Returns
-    the canonical optimal set and its weight.  An empty hyperedge is a
-    ``ValueError``, a float weight a ``TypeError``.
+    the canonical optimal set and its weight.  An empty hyperedge or a
+    vertex id outside ``weights`` is a ``ValueError``, a float weight a
+    ``TypeError``.
     """
     canon = sorted({tuple(sorted(set(e))) for e in hyperedges})
     if not canon:
@@ -117,6 +118,8 @@ def min_weight_cover(
     if not canon[0]:  # the empty tuple sorts first
         raise ValueError("empty hyperedge")
     universe = sorted({v for e in canon for v in e})
+    if universe[0] < 0 or universe[-1] >= len(weights):
+        raise ValueError(f"vertex ids must lie in 0..{len(weights) - 1}")
     idx = {v: i for i, v in enumerate(universe)}
     w = [as_fraction(weights[v]) for v in universe]
     if any(x < 0 for x in w):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .copies import embeddings
-from .graphs import Graph, Pattern, WeightedGraph, induced_subgraph, normalize_edge, unit_weights
+from .graphs import Graph, Pattern, WeightedGraph, _glue, induced_subgraph, unit_weights
 
 SEMI_SYMMETRIC = "semi-symmetric"
 TWO_CONNECTED = "two-connected"
@@ -92,28 +92,13 @@ def construct_good_graph(p: Pattern, d: RootedDecomposition | None) -> WeightedG
     """
     if d is None:
         return unit_weights(p.graph)
-    h = p.graph
     v = d.root
-    small = d.branches[d.small_index]
-    big = d.branches[d.big_index]
-    fresh: dict[int, int] = {}
-    nxt = p.k
-    for u in big:
-        if u != v:
-            fresh[u] = nxt
-            nxt += 1
-    edges = set(h.edges)
-    big_set = set(big)
-    for a, b in h.sorted_edges():
-        if a in big_set and b in big_set:
-            edges.add(normalize_edge(fresh.get(a, v), fresh.get(b, v)))
-    gadget = Graph(nxt, frozenset(edges))
-
-    halves = (set(small) | big_set | set(fresh.values())) - {v}
-    weights = [Fraction(1)] * nxt
-    for u in halves:
-        weights[u] = Fraction(1, 2)
-    return WeightedGraph(gadget, tuple(weights))
+    big = set(d.branches[d.big_index])
+    piece = [e for e in p.graph.sorted_edges() if big.issuperset(e)]
+    gadget, _ = _glue(p.graph, [v], lambda root: {root: root}, piece)
+    halves = (set(d.branches[d.small_index]) | big | set(range(p.k, gadget.n))) - {v}
+    weights = tuple(Fraction(1, 2) if u in halves else Fraction(1) for u in range(gadget.n))
+    return WeightedGraph(gadget, weights)
 
 
 @dataclass(frozen=True)

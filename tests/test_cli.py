@@ -130,14 +130,45 @@ def test_gen_random_deterministic(capsys):
     assert first.startswith("p 6 ")
 
 
+K3_ON_K3 = """\
+p 6 9
+e 0 1
+e 0 2
+e 0 3
+e 0 4
+e 1 2
+e 1 3
+e 1 5
+e 2 4
+e 2 5
+# provenance
+# v 3 0 1 2
+# v 4 0 2 2
+# v 5 1 2 2
+"""
+
+# P3 minus leaf 0 is the edge 1-2; pattern vertex 1 sits on each base vertex
+P3_ON_K3 = """\
+p 6 6
+e 0 1
+e 0 2
+e 0 3
+e 1 2
+e 1 4
+e 2 5
+# provenance
+# v 3 0 2
+# v 4 1 2
+# v 5 2 2
+"""
+
+
 def test_gen_gadgets(files, capsys, tmp_path):
     _, k3, p3, _ = files
-    code, out, _ = run(capsys, "gen", "vc-edge-gadget", "--base", k3, "--pattern", k3)
-    assert code == 0
-    assert out.startswith("p 6 ")
-    code, out, _ = run(capsys, "gen", "vc-vertex-gadget", "--base", k3, "--pattern", p3)
-    assert code == 0
-    assert out.startswith("p 6 ")
+    args = ("gen", "vc-edge-gadget", "--base", k3, "--pattern", k3)
+    assert run(capsys, *args) == (0, K3_ON_K3, "")
+    args = ("gen", "vc-vertex-gadget", "--base", k3, "--pattern", p3)
+    assert run(capsys, *args) == (0, P3_ON_K3, "")
 
 
 def test_gen_gl(files, capsys, tmp_path):

@@ -59,6 +59,12 @@ def test_nonpositive_weight_rejected():
         solve_cover_lp(hg, (Fraction(0), Fraction(1)))
 
 
+def test_float_weights_rejected():
+    hg = CopyHypergraph(3, ((0, 1), (1, 2)))
+    with pytest.raises(TypeError, match="floats"):
+        solve_cover_lp(hg, [1.0, 1, 1])
+
+
 def test_size_one_hyperedge():
     hg = CopyHypergraph(2, ((0,), (0, 1)))
     cover, matching = solve_cover_lp(hg, (Fraction(1), Fraction(1)))

@@ -154,6 +154,14 @@ def test_min_weight_cover_rejects_float_weights():
         min_weight_cover(((0, 1),), [0.5, 0.5])
 
 
+def test_min_weight_cover_rejects_vertex_ids_outside_weights():
+    # a negative id would read a weight from the end, a large one past it
+    with pytest.raises(ValueError, match="vertex ids"):
+        min_weight_cover([(-1,)], [5, 7])
+    with pytest.raises(ValueError, match="vertex ids"):
+        min_weight_cover([(0, 5)], [1, 1])
+
+
 def _least_optimal_cover(edges, weights):
     """Brute force over covers drawn from the edges' vertices: the least weight,
     ties broken by taking each vertex in turn whenever an optimal cover can."""

@@ -18,6 +18,7 @@ from hitset import (
     exact_min_hitting_set,
     induced_subgraph,
     random_graph,
+    serialize_graph,
     verify_goodness,
 )
 from hitset.generators import _glue_edge
@@ -262,6 +263,26 @@ def test_classification_golden_on_atlas():
         digest.update(repr(key).encode() + b"\n")
     assert digest.hexdigest() == (
         "d1fbc7ef0a4292676bb700201feccb1b06abd1eb327b419e5362c9805c33b975"
+    )
+
+
+def test_good_graph_golden_on_small_patterns():
+    # pins every gadget, vertex ids and weights included, of the trees with
+    # 2 to 6 vertices and the connected graphs with at most 6 vertices
+    graphs = [tree for n in range(2, 7) for tree in all_trees(n)]
+    graphs += [
+        Graph(x.number_of_nodes(), list(x.edges()))
+        for x in connected_atlas()
+        if x.number_of_nodes() <= 6
+    ]
+    assert len(graphs) == 155
+    digest = hashlib.sha256()
+    for g in graphs:
+        p = Pattern(g)
+        good = construct_good_graph(p, classify_pattern(p).decomposition)
+        digest.update(serialize_graph(good).encode())
+    assert digest.hexdigest() == (
+        "2363ce6e47614bf6914f844a68e672f37bd16d1226eee949bd104eca8105de54"
     )
 
 
