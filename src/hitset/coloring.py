@@ -50,7 +50,7 @@ def color_digraph(n: int, arcs: Iterable[tuple[int, int]], m: int) -> tuple[int,
     that is a self-loop or has an end outside 0..n-1.  Peels the
     smallest-id vertex of total degree at most 2m, then colours greedily
     on re-insertion.  Degrees only fall, so each vertex joins the heap at
-    most once.
+    most once.  The palette and properness are checked before returning.
     """
     out_degree = [0] * n
     ends: list[list[int]] = [[] for _ in range(n)]
@@ -85,6 +85,8 @@ def color_digraph(n: int, arcs: Iterable[tuple[int, int]], m: int) -> tuple[int,
         colors[v] = c
     if any(c > 2 * m for c in colors):
         raise VerificationError("greedy colouring exceeded its palette")
+    if any(colors[u] == c for c, row in zip(colors, ends) for u in row):
+        raise VerificationError("greedy colouring is not proper")
     return tuple(colors)
 
 
@@ -168,8 +170,6 @@ def cover_colored_hypergraph(
         mass = cover.values[pick]
         if mass * (k - 1) < 1:
             raise VerificationError("largest cover mass on the edge is too small")
-        if Fraction(1, k - 1) < Fraction(t, k * (t - 1)):
-            raise VerificationError("palette too small for the pricing step")
         picked.append(pick)
         pending_bound = cover.value - weights[pick] * mass
         edges = [e for e in edges if pick not in e]

@@ -78,18 +78,27 @@ class Graph:
         return tuple(map(frozenset, self.adjacency))
 
     def is_connected(self) -> bool:
-        if self.n <= 1:
-            return True
-        adj = self.adjacency
-        seen = {0}
-        stack = [0]
+        return len(_components(self)) <= 1
+
+
+def _components(g: Graph, removed: int | None = None) -> list[set[int]]:
+    """Vertex sets of the components of ``g`` less ``removed``, by least vertex."""
+    adj = g.adjacency
+    seen = {removed}
+    comps: list[set[int]] = []
+    for start in range(g.n):
+        if start in seen:
+            continue
+        comp = {start}
+        stack = [start]
         while stack:
-            u = stack.pop()
-            for v in adj[u]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.n
+            for x in adj[stack.pop()]:
+                if x not in comp and x != removed:
+                    comp.add(x)
+                    stack.append(x)
+        seen |= comp
+        comps.append(comp)
+    return comps
 
 
 @dataclass(frozen=True)

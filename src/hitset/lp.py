@@ -98,14 +98,19 @@ def solve_cover_lp(
 ) -> tuple[FractionalCover, FractionalMatching]:
     """Optimal fractional cover and matching with exactly equal values.
 
-    Requires strictly positive weights on every covered vertex; a float
-    weight is a ``TypeError``.  The output is deterministic for a fixed
-    input.
+    Requires strictly positive weights on every covered vertex; a
+    covered vertex with no weight is a ``ValueError``, a float weight a
+    ``TypeError``.  The output is deterministic for a fixed input.
     """
     verts = list(hg.covered_vertices())
     edges = list(hg.hyperedges)
-    w = {v: as_fraction(weights[v]) for v in verts}
+    w = {}
     for v in verts:
+        try:
+            x = weights[v]
+        except (IndexError, KeyError):
+            raise ValueError(f"covered vertex {v} has no weight") from None
+        w[v] = as_fraction(x)
         if w[v] <= 0:
             raise ValueError(f"covered vertex {v} must have positive weight")
     if not edges:

@@ -4,11 +4,11 @@ These solvers exist to validate the approximation pipeline, not to
 scale.  One branch-and-bound, ``_least_cover``, does every search over
 a hypergraph given as vertex bitmasks with positive integer keys:
 branch on the uncovered hyperedge with the fewest undecided vertices,
-bound with a greedy family of disjoint uncovered hyperedges, start from
-a greedy incumbent.  It deliberately does not touch the LP module, so
-LP tests can compare against it as an independent reference.  A vertex
-cover is the same search over the graph's edges as 2-element
-hyperedges with unit keys.
+bound with a greedy family of disjoint uncovered hyperedges, and start
+from the bound that taking every vertex of positive key gives.  It
+deliberately does not touch the LP module, so LP tests can compare
+against it as an independent reference.  A vertex cover is the same
+search over the graph's edges as 2-element hyperedges with unit keys.
 
 Tie-breaking is deterministic, and the search runs once.  Of N
 candidate vertices, vertex i has the key ``w(i)*L*2^N - 2^(N-1-i)``,
@@ -83,23 +83,12 @@ def _least_cover(pending: list[int], excluded: int, current: int, w: list[int], 
 
 
 def _least_weight(masks: list[int], w: list[int]) -> int:
-    """The least key sum of a set meeting every mask: a greedy incumbent, then the search."""
-    incumbent = 0
-    pending = masks
-    while pending:
-        # cheapest key per newly hit mask
-        pick = None
-        for i in range(len(w)):
-            hits = sum(1 for em in pending if em >> i & 1)
-            if hits == 0:
-                continue
-            key = (Fraction(w[i], hits), i)
-            if pick is None or key < pick:
-                pick = key
-        i = pick[1]
-        incumbent += w[i]
-        pending = [em for em in pending if not em >> i & 1]
-    return _least_cover(masks, 0, 0, w, incumbent)
+    """The least key sum of a set meeting every mask.
+
+    Every mask holds a vertex of positive key, so taking all of those
+    meets every mask: one more than their sum bounds the search.
+    """
+    return _least_cover(masks, 0, 0, w, 1 + sum(x for x in w if x > 0))
 
 
 def min_weight_cover(

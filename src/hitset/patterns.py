@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .copies import embeddings
-from .graphs import Graph, Pattern, WeightedGraph, _glue, induced_subgraph, unit_weights
+from .graphs import Graph, Pattern, WeightedGraph, induced_subgraph, unit_weights
+from .graphs import _components, _glue
 
 SEMI_SYMMETRIC = "semi-symmetric"
 TWO_CONNECTED = "two-connected"
@@ -45,38 +46,19 @@ def branches_at(h: Graph, v: int) -> tuple[tuple[int, ...], ...]:
 
     In a connected graph, v is a cut vertex iff it has two or more branches.
     """
-    adj = h.adjacency
-    seen = {v}
-    comps: list[tuple[int, ...]] = []
-    for start in range(h.n):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for x in adj[u]:
-                if x not in seen:
-                    seen.add(x)
-                    comp.add(x)
-                    stack.append(x)
-        comps.append(tuple(sorted(comp | {v})))
-    return tuple(sorted(comps))
+    return tuple(sorted(tuple(sorted(comp | {v})) for comp in _components(h, v)))
 
 
 def _branch_embedding(
     h: Graph, small: tuple[int, ...], big: tuple[int, ...], root: int
 ) -> tuple[tuple[int, int], ...] | None:
     small_graph, small_ids = induced_subgraph(h, small)
-    big_graph, big_ids = induced_subgraph(h, big)
+    # inside h: the same edges among ``big``, and its ids order as the branch's own would
     rooted = embeddings(
-        big_graph, small_graph, root=small_ids.index(root), root_image=big_ids.index(root)
+        h, small_graph, root=small_ids.index(root), root_image=root, allowed=frozenset(big)
     )
     mapping = min(rooted, default=None)  # the lexicographically least map
-    if mapping is None:
-        return None
-    return tuple((small_ids[u], big_ids[mapping[u]]) for u in range(len(small_ids)))
+    return None if mapping is None else tuple(zip(small_ids, mapping))
 
 
 @functools.cache

@@ -121,12 +121,7 @@ def _route(
             emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=positive)
             if emb is not None:
                 arcs.update((u, w) for w in emb if w != u)
-        colors = color_digraph(g.n, arcs, k - 1)
-        if len(set(colors)) > 2 * k - 1:
-            raise VerificationError("conflict colouring used too many colours")
-        if any(colors[u] == colors[w] for u, w in arcs):
-            raise VerificationError("conflict colouring is not proper")
-        coloring = Coloring(colors, 2 * k)
+        coloring = Coloring(color_digraph(g.n, arcs, k - 1), 2 * k)
         run = cover_colored_hypergraph(residual, trace.final_weights, coloring, k)
         chosen.update(run.selected)
         detail = SolveDetail(

@@ -158,6 +158,11 @@ def test_color_simp_rejects_zero_weights():
         _cover_copies(g, Coloring((0, 1, 2), 6))
 
 
+def test_color_simp_rejects_missing_weights():
+    with pytest.raises(ValueError, match="covered vertex 2 has no weight"):
+        cover_colored_hypergraph([(0, 2)], [1, 1], Coloring((0, 1, 1), 4), 2)
+
+
 def _valid_coloring(rng: random.Random, edges, n: int, t: int) -> Coloring:
     for _ in range(200):
         colors = tuple(rng.randrange(t) for _ in range(n))

@@ -120,6 +120,15 @@ def test_graph_validation():
         WeightedGraph(Graph(1), (Fraction(-1),))
 
 
+def test_is_connected_edge_cases():
+    assert Graph(0).is_connected()
+    assert Graph(1).is_connected()
+    assert Graph(2, [(0, 1)]).is_connected()
+    assert not Graph(2).is_connected()
+    assert not Graph(4, [(0, 1), (1, 2)]).is_connected()  # vertex 3 is isolated
+    assert not Graph(4, [(1, 2), (2, 3)]).is_connected()  # vertex 0 is isolated
+
+
 def test_induced_subgraph():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4)])
     sub, ids = induced_subgraph(g, [1, 2, 4])

@@ -59,6 +59,14 @@ def test_nonpositive_weight_rejected():
         solve_cover_lp(hg, (Fraction(0), Fraction(1)))
 
 
+def test_missing_weight_rejected():
+    hg = CopyHypergraph(3, ((0, 2),))
+    with pytest.raises(ValueError, match="covered vertex 2 has no weight"):
+        solve_cover_lp(hg, [1, 1])
+    with pytest.raises(ValueError, match="covered vertex 2 has no weight"):
+        solve_cover_lp(hg, {0: 1})
+
+
 def test_float_weights_rejected():
     hg = CopyHypergraph(3, ((0, 1), (1, 2)))
     with pytest.raises(TypeError, match="floats"):

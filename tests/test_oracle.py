@@ -113,6 +113,14 @@ def test_min_weight_cover_zero_weights():
     assert min_weight_cover(edges, weights) == ((0, 2), Fraction(0))
 
 
+def test_min_weight_cover_search_bound_with_zero_weights():
+    # zero-weight vertices have negative keys, so the key sum plus one can lie
+    # below the optimum (it does for the first input); the search bound
+    # counts only the positive keys
+    assert min_weight_cover([(1,), (0,)], [0, 1]) == ((0, 1), 1)
+    assert min_weight_cover([(1, 2), (0, 3), (2,)], [0, 1, 3, 0]) == ((0, 2, 3), 3)
+
+
 def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
     # a search result that does not decode into a cover with that key sum is
     # a solver bug; it must raise even under python -O, which strips asserts

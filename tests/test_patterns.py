@@ -266,6 +266,36 @@ def test_classification_golden_on_atlas():
     )
 
 
+def test_pattern_preparation_golden():
+    # pins connectivity and the branches at every vertex of every atlas graph
+    # with 2 to 7 vertices, disconnected ones included, and of the trees with
+    # 8 to 10 vertices; for the connected ones also the classification and
+    # the serialized gadget
+    graphs = [
+        Graph(x.number_of_nodes(), list(x.edges()))
+        for x in nx.graph_atlas_g()
+        if 2 <= x.number_of_nodes() <= 7
+    ]
+    graphs += [Graph(n, list(t.edges())) for n in (8, 9, 10) for t in nx.nonisomorphic_trees(n)]
+    assert len(graphs) == 1427
+    digest = hashlib.sha256()
+    for g in graphs:
+        row = [g.is_connected(), [branches_at(g, v) for v in range(g.n)]]
+        if g.is_connected():
+            p = Pattern(g)
+            cls = classify_pattern(p)
+            d = cls.decomposition
+            row += [
+                cls.kind,
+                d and (d.root, d.branches, d.small_index, d.big_index, d.embedding),
+                serialize_graph(construct_good_graph(p, d)),
+            ]
+        digest.update(repr(row).encode() + b"\n")
+    assert digest.hexdigest() == (
+        "be67eb94ff7020a479e47f244834c3fe8fa238ad1e2a1d7ac10163381d0e77ce"
+    )
+
+
 def test_good_graph_golden_on_small_patterns():
     # pins every gadget, vertex ids and weights included, of the trees with
     # 2 to 6 vertices and the connected graphs with at most 6 vertices
