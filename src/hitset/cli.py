@@ -41,7 +41,7 @@ from .graphs import (
     serialize_graph,
     unit_weights,
 )
-from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover
+from .oracle import DEFAULT_CAP, exact_min_hitting_set, exact_min_vertex_cover, verify_goodness
 from .patterns import classify_pattern, construct_good_graph
 from .pipeline import Solution, guaranteed_factor, solve, solve_baseline, verify_solution
 
@@ -150,6 +150,8 @@ def _cmd_analyze(args) -> int:
         sys.stdout.write("\n".join(sorted(lines)) + "\n")
         return 0
     good = construct_good_graph(h, d)
+    if not verify_goodness(good, h):
+        raise VerificationError("gadget failed its goodness certificate")
     lines.append(f"root: {d.root}")
     out = "\n".join(sorted(lines)) + "\n"
     for i, branch in enumerate(d.branches):
@@ -229,7 +231,7 @@ def _cmd_bench(args) -> int:
             f"\t{_rational(opt) if opt is not None else '-'}\t{_rational(tau)}"
             f"\t{ratio(base_sol.weight)}\t{ratio(pipe_sol.weight)}"
         )
-    sys.stdout.write("\n".join([header, *sorted(rows)]) + "\n")
+    sys.stdout.write("\n".join([header, *rows]) + "\n")
     return 0
 
 
@@ -313,7 +315,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError) as exc:
+    except (ParseError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceededError as exc:

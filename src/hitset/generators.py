@@ -155,7 +155,6 @@ def gl_random_instance(h: Pattern, params: GLParams) -> TaggedGraph:
                 f"hyperedge {e} has size {len(e)}, pattern needs {k}"
             )
     B = params.cloud_size
-    edges: set[Edge] = set()
     all_tags: dict[Edge, list[tuple[int, int]]] = defaultdict(list)
     planted: list[tuple[int, int, tuple[int, ...]]] = []
     pattern_edges = h.graph.sorted_edges()
@@ -166,10 +165,9 @@ def gl_random_instance(h: Pattern, params: GLParams) -> TaggedGraph:
             verts = tuple(e[i] * B + int(slots[i]) for i in range(k))
             for p, q in pattern_edges:
                 ge = normalize_edge(verts[p], verts[q])
-                edges.add(ge)
                 all_tags[ge].append((ei, j))
             planted.append((ei, j, verts))
-    graph = Graph(params.base_n * B, frozenset(edges))
+    graph = Graph(params.base_n * B, frozenset(all_tags))
     clouds = {v: tuple(range(v * B, (v + 1) * B)) for v in range(params.base_n)}
     return TaggedGraph(
         graph,

@@ -7,8 +7,9 @@ branch on the uncovered hyperedge with the fewest undecided vertices,
 bound with a greedy family of disjoint uncovered hyperedges, and start
 from the bound that taking every vertex of positive key gives.  It
 deliberately does not touch the LP module, so LP tests can compare
-against it as an independent reference.  A vertex cover is the same
-search over the graph's edges as 2-element hyperedges with unit keys.
+against it as an independent reference.  A vertex cover is a
+unit-weight ``min_weight_cover`` of the graph's edges, so its answer is
+decoded and checked like every other.
 
 Tie-breaking is deterministic, and the search runs once.  Of N
 candidate vertices, vertex i has the key ``w(i)*L*2^N - 2^(N-1-i)``,
@@ -44,51 +45,34 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _bound_and_branch(pending: list[int], excluded: int, w: list[int]) -> tuple[int, int] | None:
-    """Greedy bound from disjoint undecided parts of pending edges, and the
-    first undecided part with the fewest vertices; None when a pending edge
-    has no undecided vertex left."""
-    branch = 0
-    branch_count = 1 << 30
-    taken = 0
-    bound = 0
-    for em in pending:
-        und = em & ~excluded
-        if und == 0:
-            return None
-        c = und.bit_count()
-        if c < branch_count:
-            branch_count = c
-            branch = und
-        if not und & taken:
-            taken |= und
-            bound += min(w[i] for i in _bits(und))
-    return bound, branch
-
-
 def _least_cover(pending: list[int], excluded: int, current: int, w: list[int], best: int) -> int:
-    """The least key sum of a cover completing ``current``, or ``best`` if none is lighter."""
+    """The least key sum of a cover completing ``current``, or ``best`` if none is lighter.
+
+    It branches on the undecided part of a pending edge with the fewest
+    vertices, say c.  No undecided part is ever empty: at the top call
+    every mask is nonzero, and the t-th vertex of the branch part is tried
+    with only the t - 1 vertices before it newly excluded, so a pending
+    edge left with no undecided vertex had at most t - 1 < c of them,
+    against the choice of c.
+    """
     if current >= best:
         return best
     if not pending:
         return current
-    step = _bound_and_branch(pending, excluded, w)
-    if step is None or current + step[0] >= best:
+    undecided = [em & ~excluded for em in pending]
+    taken = 0
+    bound = current
+    for und in undecided:
+        if not und & taken:
+            taken |= und
+            bound += min(w[i] for i in _bits(und))
+    if bound >= best:
         return best
-    for i in _bits(step[1]):
+    for i in _bits(min(undecided, key=int.bit_count)):
         rest = [em for em in pending if not em >> i & 1]
         best = _least_cover(rest, excluded, current + w[i], w, best)
         excluded |= 1 << i
     return best
-
-
-def _least_weight(masks: list[int], w: list[int]) -> int:
-    """The least key sum of a set meeting every mask.
-
-    Every mask holds a vertex of positive key, so taking all of those
-    meets every mask: one more than their sum bounds the search.
-    """
-    return _least_cover(masks, 0, 0, w, 1 + sum(x for x in w if x > 0))
 
 
 def min_weight_cover(
@@ -119,7 +103,9 @@ def min_weight_cover(
     # every zero-weight vertex is taken; the search covers the rest with positive keys
     free = sum(1 << i for i, x in enumerate(w) if not x)
     masks = [m for m in (sum(1 << idx[v] for v in e) for e in canon) if not m & free]
-    least = _least_weight(masks, keys)
+    # every mask holds only positive keys, so taking all of those meets every
+    # mask: one more than their sum bounds the search
+    least = _least_cover(masks, 0, 0, keys, 1 + sum(x for x in keys if x > 0))
 
     perturbation = -least % (1 << n)  # the sum of 2^(n-1-i) over the optimum's vertices i
     chosen = [i for i in range(n) if perturbation >> (n - 1 - i) & 1]
@@ -145,11 +131,10 @@ def exact_min_hitting_set(
 
 
 def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
-    """Exact minimum vertex cover size: the cover search over the edges, unit weights."""
+    """Exact minimum vertex cover size: the least unit-weight cover of the edges."""
     if g.n > cap:
         raise ValueError(f"instance has {g.n} vertices, oracle cap is {cap}")
-    masks = [1 << u | 1 << v for u, v in g.sorted_edges()]
-    return _least_weight(masks, [1] * g.n)
+    return len(min_weight_cover(g.sorted_edges(), [1] * g.n)[0])
 
 
 @functools.cache

@@ -69,6 +69,9 @@ def test_exact(files, capsys):
     code, out, _ = run(capsys, "exact", k3, p3)
     assert code == 0
     assert "weight: 1" in out
+    code, out, err = run(capsys, "exact", k3)
+    assert (code, out) == (2, "")
+    assert err == "error: exact needs a pattern file (or --vertex-cover)\n"
 
 
 def test_exact_vertex_cover(files, capsys):
@@ -105,6 +108,9 @@ def test_verify_valid_and_invalid(files, capsys, tmp_path):
     bad.write_text("vertices:\n")
     code, out, _ = run(capsys, "verify", k3, p3, bad)
     assert code == 1 and out == "INVALID\n"
+    bad.write_text("vertices: 0 3\n")
+    code, out, err = run(capsys, "verify", k3, p3, bad)
+    assert (code, out, err) == (2, "", "error: solution vertex out of range\n")
 
 
 def test_parse_solution_document():
@@ -272,6 +278,20 @@ def test_budget_exit_code(files, capsys, tmp_path):
 def test_missing_file_exit_code(capsys, tmp_path):
     code, _, err = run(capsys, "analyze", tmp_path / "missing.graph")
     assert code == 2
+    # an unreadable path is a usage error too, not a traceback
+    p3 = tmp_path / "p3.graph"
+    p3.write_text(P3_TEXT)
+    code, out, err = run(capsys, "solve", tmp_path, p3)
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n"
+
+
+def test_analyze_uncertified_gadget_exit_code(files, capsys, monkeypatch):
+    _, _, _, p5 = files
+    monkeypatch.setattr(hitset.cli, "verify_goodness", lambda good, h: False)
+    code, out, err = run(capsys, "analyze", p5)
+    assert (code, out) == (4, "")
+    assert err == "error: gadget failed its goodness certificate\n"
 
 
 def test_value_error_exit_code(capsys):
@@ -430,6 +450,14 @@ def test_zero_budget_cap_count_accepted(files, star, capsys):
     rows = out.splitlines()[1:]
     assert code == 0 and len(rows) == 2
     assert all(row.split("\t")[5] == "-" for row in rows)  # n = 10 is over the cap: no exact_opt
+
+
+def test_bench_rows_in_index_order(files, capsys):
+    # past r9999 the row names no longer sort as strings: r10000 < r1001
+    _, _, p3, _ = files
+    code, out, _ = run(capsys, "bench", "--pattern", p3, "--count", 10001, "--n", 0, "--p", 0)
+    names = [row.split("\t")[0] for row in out.splitlines()[1:]]
+    assert code == 0 and names == [f"r{i:04d}" for i in range(10001)]
 
 
 def test_bench_count_zero_prints_header_only(files, capsys):

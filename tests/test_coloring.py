@@ -150,6 +150,20 @@ def test_color_simp_rejects_small_palette():
     g = unit_weights(complete_graph(3))
     with pytest.raises(ValueError):
         _cover_copies(g, Coloring((0, 1, 0), 2))
+    with pytest.raises(ValueError, match="at least one colour"):
+        Coloring((), 0)
+    with pytest.raises(ValueError, match="out of palette range"):
+        Coloring((0, 2), 2)
+
+
+def test_color_simp_rejects_bad_edge_sizes():
+    ones = (Fraction(1),) * 3
+    with pytest.raises(ValueError, match="at least two vertices"):
+        cover_colored_hypergraph([(0, 1)], ones, Coloring((0, 1, 2), 3), 1)
+    with pytest.raises(ValueError, match=r"hyperedge \(0, 1, 2\) larger than the declared bound 2"):
+        cover_colored_hypergraph([(0, 1, 2)], ones, Coloring((0, 1, 2), 3), 2)
+    with pytest.raises(ValueError, match=r"hyperedge \(1,\) has fewer than two vertices"):
+        cover_colored_hypergraph([(1, 1)], ones, Coloring((0, 1, 2), 3), 2)
 
 
 def test_color_simp_rejects_zero_weights():

@@ -331,6 +331,8 @@ def test_embeddings_start_with_root_rejected():
         list(embeddings(complete_graph(5), P3.graph, root=0, root_image=0, start=1))
     with pytest.raises(ValueError, match="nonnegative"):
         list(embeddings(complete_graph(5), P3.graph, start=-1))
+    with pytest.raises(ValueError, match="given together"):
+        list(embeddings(complete_graph(5), P3.graph, root=0))
 
 
 ORDER_PATTERNS = ("P3", "K3", "C4", "paw", "K4", "diamond", "paw-gadget")

@@ -127,6 +127,15 @@ def test_gl_clouds_partition():
 def test_gl_size_mismatch():
     with pytest.raises(ValueError):
         gl_random_instance(P3, GLParams(4, ((0, 1, 2, 3),), 2, 1, 0))
+    for args, message in (
+        ((3, ((0, 1, 2),), 0, 1, 0), "cloud size must be at least 1"),
+        ((3, ((0, 1, 2),), 2, 0, 0), "multiplier must be at least 1"),
+        ((3, ((0, 1, 2),), 2, 1, -1), "seed must be nonnegative"),
+        ((3, ((0, 1, 1),), 2, 1, 0), "repeated vertices"),
+        ((3, ((0, 1, 3),), 2, 1, 0), "out of range"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            GLParams(*args)
 
 
 def test_gl_serialization_is_plain_graph_too():
@@ -159,6 +168,8 @@ def test_parse_hypergraph_text():
         parse_hypergraph_text("h 0 1\n")
     with pytest.raises(ParseError):
         parse_hypergraph_text("p 2 1\nh 0 5\n")
+    with pytest.raises(ParseError, match="line 2: empty hyperedge"):
+        parse_hypergraph_text("p 2 1\nh\n")
     assert parse_hypergraph_text("p 4 1\nh +0 01 2\n") == (4, ((0, 1, 2),))
     for bad in ("1_0", "\u0662", "2.0"):
         with pytest.raises(ParseError, match="line 2: vertex ids must be integers"):

@@ -118,6 +118,10 @@ def test_graph_validation():
         WeightedGraph(Graph(1), (0.5,))
     with pytest.raises(ValueError):
         WeightedGraph(Graph(1), (Fraction(-1),))
+    with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+        Graph(-1)
+    with pytest.raises(ValueError, match="exactly one weight per vertex"):
+        WeightedGraph(Graph(2), (Fraction(1),))
 
 
 def test_is_connected_edge_cases():

@@ -136,6 +136,9 @@ def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
     monkeypatch.setattr(oracle, "_least_cover", off_by_one)
     with pytest.raises(VerificationError, match="optimal weight"):
         min_weight_cover(((0, 1), (1, 2)), (Fraction(1),) * 3)
+    # the vertex cover of P3 is one more unit-weight cover, checked the same way
+    with pytest.raises(VerificationError, match="optimal weight"):
+        exact_min_vertex_cover(Graph(3, [(0, 1), (1, 2)]))
 
 
 @pytest.mark.parametrize("den", (1, 6, 35))
@@ -160,6 +163,8 @@ def test_min_weight_cover_rejects_empty_hyperedge():
 def test_min_weight_cover_rejects_float_weights():
     with pytest.raises(TypeError, match="floats"):
         min_weight_cover(((0, 1),), [0.5, 0.5])
+    with pytest.raises(ValueError, match="weights must be nonnegative"):
+        min_weight_cover(((0, 1),), [1, Fraction(-1, 2)])
 
 
 def test_min_weight_cover_rejects_vertex_ids_outside_weights():
