@@ -158,9 +158,7 @@ def _cmd_analyze(args) -> int:
         out += f"# branch {i}: {' '.join(map(str, branch))}\n"
     witness = " ".join(f"{a}->{b}" for a, b in d.embedding)
     out += f"# witness: branch {d.small_index} into branch {d.big_index} via {witness}\n"
-    total = _rational(sum(good.weights))
-    out += f"# gadget factor: {total}\n"
-    out += f"# gadget total weight: {total}\n"
+    out += f"# gadget total weight: {_rational(sum(good.weights))}\n"
     out += "# gadget graph:\n"
     for line in serialize_graph(good).splitlines():
         out += f"# {line}\n"

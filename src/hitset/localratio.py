@@ -6,11 +6,14 @@ nonnegative.  Each step zeroes at least one vertex, so there are at most
 |V| steps.  The zero-weight vertices collected at the end can join a
 hitting set for free, and the positive residual contains no gadget copy.
 
-The loop is one pass over the host.  Embeddings come in lexicographic
-order of their images along the match order, and the positive vertices
-only shrink, so each search resumes at the image of the first-matched
-gadget vertex in the last step: every embedding rooted lower was
-rejected before and stays rejected.
+The loop is one pass over the allowed vertices: the whole host by
+default, or, when the caller has enumerated the pattern's copies, the
+vertices of the copies on positive weights, the only ones a gadget
+embedding on positive weights can use.  Embeddings come in
+lexicographic order of their images along the match order, and the
+positive vertices only shrink, so each search resumes at the image of
+the first-matched gadget vertex in the last step: every embedding
+rooted lower was rejected before and stays rejected.
 
 The subtracted amounts certify a lower bound: every hitting set of the
 gadget weighs at least 1, so any hitting set of the host carries at least
@@ -19,6 +22,7 @@ the sum of the scales.
 
 from __future__ import annotations
 
+from collections.abc import Collection
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +60,7 @@ def decompose_weights(
     g: WeightedGraph,
     good: WeightedGraph,
     budget: EnumerationBudget | None = None,
+    allowed: Collection[int] | None = None,
 ) -> DecompositionTrace:
     """Run the subtraction loop until no gadget sits on positive weights.
 
@@ -63,15 +68,22 @@ def decompose_weights(
     deterministic.  Each search starts at the last step's root image and
     the positive vertices are tracked as steps zero them, so the trace
     equals that of searches from vertex 0 over weights rescanned on every
-    step.  Callers are responsible for supplying a verified gadget (see
-    ``oracle.verify_goodness``).
+    step.  ``allowed`` restricts every search to those host vertices;
+    the trace is unchanged as long as every gadget embedding on positive
+    weights stays inside them.  A vertex outside ``0..g.n-1`` is a
+    ``ValueError``.  Callers are responsible for supplying a verified
+    gadget (see ``oracle.verify_goodness``).
     """
     if budget is None:
         budget = EnumerationBudget()
     weights = list(g.weights)
     n = g.n
     root = copies._plan(good.graph, None, ())[0][0]  # the gadget vertex matched first
-    positive = {v for v in range(n) if weights[v] > 0}
+    if allowed is None:
+        allowed = range(n)
+    elif any(not 0 <= v < n for v in allowed):
+        raise ValueError(f"allowed vertices must lie in 0..{n - 1}")
+    positive = {v for v in allowed if weights[v] > 0}
     start = 0
     steps: list[TraceStep] = []
     while True:
@@ -107,6 +119,5 @@ def decompose_weights(
     if tuple(recon) != g.weights:
         raise VerificationError("weight conservation identity violated")
 
-    # weights stay nonnegative, so every vertex outside ``positive`` ends at weight 0
-    zero = frozenset(range(n)).difference(positive)
+    zero = frozenset(v for v in range(n) if not final[v])
     return DecompositionTrace(tuple(steps), final, zero)

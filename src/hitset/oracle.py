@@ -30,7 +30,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .copies import EnumerationBudget, build_copy_hypergraph
+from .copies import EnumerationBudget, build_copy_hypergraph, embeddings, symmetry_pairs
 from .errors import VerificationError
 from .graphs import Graph, Pattern, WeightedGraph, as_fraction
 
@@ -145,3 +145,22 @@ def verify_goodness(good: WeightedGraph, h: Pattern) -> bool:
     """
     _, weight = exact_min_hitting_set(good, h, cap=good.n)
     return weight >= 1
+
+
+@functools.cache
+def verify_copy_cover(good: WeightedGraph, h: Pattern) -> None:
+    """Raise ``VerificationError`` unless the pattern's copies cover the gadget.
+
+    Then every gadget embedding on a host's positive vertices stays on the
+    vertices of the host's copies on positive vertices, which is what lets
+    the solve route restrict its subtraction searches to them.  The search
+    yields one embedding per copy and stops once they cover every gadget
+    vertex.  Cached by value, so each distinct gadget and pattern passes
+    the check once per process.
+    """
+    covered: set[int] = set()
+    for emb in embeddings(good.graph, h.graph, pairs=symmetry_pairs(h.graph)):
+        covered.update(emb)
+        if len(covered) == good.n:
+            return
+    raise VerificationError("gadget has a vertex on no pattern copy")

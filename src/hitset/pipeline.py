@@ -9,9 +9,11 @@ a cut vertex the gadget is the branch gadget and the factor is k - 1/2;
 otherwise the gadget is the pattern itself with unit weights and the
 zero set of the subtraction is the whole answer.
 
-``solve`` checks its result against its full copy enumeration; a
-failure there raises VerificationError and means a bug, never bad
-input.  ``solve_baseline`` enumerates no copies: its zero set hits every
+``solve`` keeps every search after its full copy enumeration on the
+vertices of the copies that can still matter, and checks its result
+against that enumeration; a failure there raises VerificationError and
+means a bug, never bad input.  ``solve_baseline`` enumerates no copies,
+so its subtraction searches the whole host: its zero set hits every
 copy because the subtraction stops only when no copy lies on positive
 vertices.
 """
@@ -34,7 +36,7 @@ from .errors import VerificationError
 from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph
 from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
-from .oracle import verify_goodness
+from .oracle import verify_copy_cover, verify_goodness
 from .patterns import (
     PatternClass,
     RootedDecomposition,
@@ -84,26 +86,32 @@ def _route(
     g: WeightedGraph,
     h: Pattern,
     cls: PatternClass,
-    hyperedges: Sequence[tuple[int, ...]],
+    hyperedges: Sequence[tuple[int, ...]] | None,
     budget: EnumerationBudget | None,
 ) -> Solution:
     """Subtract one certified gadget, cover the residual, certify.
 
     The cover step runs only when ``cls`` has a decomposition.
     ``hyperedges`` are the vertex sets of the copies of ``h`` in ``g``
-    that the rooted searches, the cover step, the certificate LP and the
-    final check read; with none, those four have nothing to do.
+    that the subtraction, the rooted searches, the cover step, the
+    certificate LP and the final check read; ``None`` means they were
+    not enumerated, and then the subtraction searches the whole host and
+    the other four have nothing to do.
     """
     k, d = h.k, cls.decomposition
     good = construct_good_graph(h, d)
     if not verify_goodness(good, h):
         raise VerificationError("gadget failed its goodness certificate")
-    trace = decompose_weights(g, good, budget)
+    verify_copy_cover(good, h)
 
     # certificate: fractional cover value of the original instance; edges
     # touching a zero-weight vertex are covered for free
     zero = {v for v, x in enumerate(g.weights) if not x}
-    lp_edges = tuple(e for e in hyperedges if zero.isdisjoint(e))
+    lp_edges = tuple(e for e in hyperedges or () if zero.isdisjoint(e))
+    # every gadget vertex lies on a pattern copy, so a gadget embedding on
+    # positive vertices stays on the vertices of the copies in ``lp_edges``
+    allowed = None if hyperedges is None else {v for e in lp_edges for v in e}
+    trace = decompose_weights(g, good, budget, allowed)
     tau_star = Fraction(0)
     if lp_edges:
         tau_star = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)[0].value
@@ -115,10 +123,11 @@ def _route(
         residual = tuple(e for e in hyperedges if positive.issuperset(e))
         # one chosen copy per central vertex; its other vertices become arcs.
         # A rooted copy inside ``positive`` is a residual copy, so only their
-        # vertices can be central.
+        # vertices can be central, and its search need look nowhere else.
+        central = frozenset(v for e in residual for v in e)
         arcs: set[tuple[int, int]] = set()
-        for u in sorted({v for e in residual for v in e}):
-            emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=positive)
+        for u in sorted(central):
+            emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=central)
             if emb is not None:
                 arcs.update((u, w) for w in emb if w != u)
         coloring = Coloring(color_digraph(g.n, arcs, k - 1), 2 * k)
@@ -128,7 +137,7 @@ def _route(
             trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps
         )
 
-    if any(chosen.isdisjoint(e) for e in hyperedges):
+    if any(chosen.isdisjoint(e) for e in hyperedges or ()):
         raise VerificationError("solution misses a pattern copy")
     hitting = tuple(sorted(chosen))
     warning = None
@@ -152,7 +161,7 @@ def solve_baseline(
     g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> Solution:
     """Plain k-factor route: the gadget is the pattern with unit weights."""
-    return _route(g, h, PatternClass("baseline"), (), budget)
+    return _route(g, h, PatternClass("baseline"), None, budget)
 
 
 def solve(

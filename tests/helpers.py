@@ -72,7 +72,20 @@ DIFFERENTIAL_PATTERNS = {
     "diamond": Graph(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)]),
     # the paw's branch gadget: two triangles sharing a vertex, plus a pendant edge there
     "paw-gadget": branch_gadget(Graph(4, [(0, 1), (1, 2), (0, 2), (2, 3)])),
+    "bowtie": Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]),
 }
+
+
+def sparse_weighted_hosts(name: str):
+    """Seeded sparse hosts for ``DIFFERENTIAL_PATTERNS[name]`` at unit, 1..9
+    and 0..9 integer weights: ``random_graph(n, 4/n)``, n from 60 to 200, or
+    mean degree 8 for the bowtie, which needs two triangles at one vertex."""
+    degree = 8 if name == "bowtie" else 4
+    for n in (60, 120, 200):
+        for low, high in ((1, 1), (1, 9), (0, 9)):
+            rng = random.Random(n * 10 + high)
+            ws = tuple(Fraction(rng.randint(low, high)) for _ in range(n))
+            yield WeightedGraph(random_graph(n, degree / n, n + 1), ws)
 
 
 def hub_branches_pattern() -> Pattern:

@@ -294,6 +294,17 @@ def test_analyze_uncertified_gadget_exit_code(files, capsys, monkeypatch):
     assert err == "error: gadget failed its goodness certificate\n"
 
 
+def test_solve_gadget_vertex_on_no_copy_exit_code(files, capsys, monkeypatch):
+    _, k3, p3, _ = files
+    monkeypatch.setattr(
+        hitset.pipeline, "verify_copy_cover", hitset.oracle.verify_copy_cover.__wrapped__
+    )
+    monkeypatch.setattr(hitset.oracle, "embeddings", lambda g, h, **kw: iter(()))
+    code, out, err = run(capsys, "solve", k3, p3)
+    assert (code, out) == (4, "")
+    assert err == "error: gadget has a vertex on no pattern copy\n"
+
+
 def test_value_error_exit_code(capsys):
     code, out, err = run(capsys, "gen", "random", "--n", "3", "--p", "2")
     assert (code, out) == (2, "")
@@ -496,7 +507,6 @@ root: 2
 # branch 1: 2 3 4 5
 # branch 2: 2 6 7 8
 # witness: branch 0 into branch 1 via 0->3 1->5 2->2
-# gadget factor: 8
 # gadget total weight: 8
 # gadget graph:
 # p 12 17

@@ -14,6 +14,7 @@ from hitset import (
     construct_good_graph,
     decompose_weights,
     embeddings,
+    enumerate_copies,
     unit_weights,
     verify_solution,
 )
@@ -23,6 +24,7 @@ from helpers import (
     complete_graph,
     path_graph,
     restarting_decomposition,
+    sparse_weighted_hosts,
     star_graph,
 )
 
@@ -199,3 +201,28 @@ def test_resumed_decomposition_matches_restarting_reference(name, n, low, high, 
     # the first search starts at 0 and each later one at the last step's root image
     assert starts == [0] + [st.embedding[first] for st in trace.steps]
     assert starts == sorted(starts)
+
+
+@pytest.mark.parametrize("name", ("paw", "C4", "K3", "P4", "K1,3", "bowtie"))
+def test_decomposition_on_positive_copies_matches_whole_host(name):
+    # a gadget embedding on positive vertices lands on copies on positive
+    # vertices, so searching only their vertices changes nothing
+    p = Pattern(DIFFERENTIAL_PATTERNS[name])
+    good = construct_good_graph(p, classify_pattern(p).decomposition)
+    steps = narrowed = 0
+    for g in sparse_weighted_hosts(name):
+        on_copies = {
+            v for e in enumerate_copies(g.graph, p) if all(g.weights[u] for u in e) for v in e
+        }
+        trace = decompose_weights(g, good, allowed=on_copies)
+        assert trace == decompose_weights(g, good)
+        steps += len(trace.steps)
+        narrowed += len(on_copies) < g.n
+    assert steps > 0 and narrowed > 0
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_allowed_vertex_outside_host_is_value_error(bad):
+    g = unit_weights(star_graph(3))
+    with pytest.raises(ValueError, match="allowed vertices must lie in 0..3"):
+        decompose_weights(g, p3_gadget(), allowed={0, bad})

@@ -22,6 +22,7 @@ from hitset import (
     verify_goodness,
 )
 from hitset.generators import _glue_edge
+from hitset.oracle import verify_copy_cover
 from helpers import (
     all_trees,
     complete_graph,
@@ -335,3 +336,24 @@ def test_pattern_validation():
 
 def test_tree_counts():
     assert [len(all_trees(n)) for n in (3, 4, 5, 6)] == [1, 2, 3, 6]
+
+
+def test_every_gadget_vertex_lies_on_a_pattern_copy():
+    # what lets the solve route search only the vertices of the host's copies:
+    # the pattern itself is one copy, and the pattern with its big branch
+    # swapped for the fresh copy, whose ids follow the branch's vertex order,
+    # is another
+    for x in connected_atlas():
+        p = Pattern(Graph(x.number_of_nodes(), list(x.edges())))
+        d = classify_pattern(p).decomposition
+        good = construct_good_graph(p, d)
+        covered = set(range(p.k))
+        if d is not None:
+            fresh = [u for u in d.branches[d.big_index] if u != d.root]
+            swap = dict(zip(fresh, range(p.k, good.n)))
+            image = [swap.get(u, u) for u in range(p.k)]
+            edges = {frozenset(e) for e in good.graph.edges}
+            assert all(frozenset((image[a], image[b])) in edges for a, b in p.graph.edges)
+            covered.update(image)
+        assert covered == set(range(good.n))
+        verify_copy_cover(good, p)  # the runtime check agrees

@@ -9,18 +9,22 @@ from hitset import (
     BudgetExceededError,
     CopyHypergraph,
     EnumerationBudget,
+    FractionalCover,
     Graph,
     Pattern,
     SEMI_SYMMETRIC,
     TWO_CONNECTED,
     UNKNOWN,
+    VerificationError,
     WeightedGraph,
     classify_pattern,
     construct_good_graph,
+    decompose_weights,
     enumerate_copies,
     exact_min_hitting_set,
     find_rooted_copy,
     gadget_edge_glue,
+    oracle,
     pipeline,
     solve,
     solve_baseline,
@@ -32,12 +36,15 @@ from hitset import random_graph
 from hitset.cli import solution_document
 from hitset.oracle import verify_goodness
 from helpers import (
+    DIFFERENTIAL_PATTERNS,
     all_trees,
     complete_graph,
     cycle_graph,
     hub_branches_pattern,
     path_graph,
+    restarting_decomposition,
     rooted_everywhere_cover,
+    sparse_weighted_hosts,
     star_graph,
     triangle_square_share_vertex,
 )
@@ -394,3 +401,65 @@ def test_rooted_searches_only_at_residual_copies(weights, monkeypatch):
         assert roots == sorted(central)
         arcs_seen += len(arcs)
     assert arcs_seen > 0
+
+
+@pytest.mark.parametrize("name", ("paw", "P4", "K1,3", "bowtie"))
+def test_rooted_searches_on_residual_vertices_match_positive(name, monkeypatch):
+    # a rooted copy on positive vertices is a residual copy, so searching only
+    # the residual copies' vertices finds the same first embedding
+    h = Pattern(DIFFERENTIAL_PATTERNS[name])
+    good = construct_good_graph(h, classify_pattern(h).decomposition)
+    find = pipeline.find_rooted_copy
+    positive = frozenset()
+    outcomes = []
+
+    def both(g, f, f_root, at, allowed=None):
+        emb = find(g, f, f_root, at, allowed)
+        assert allowed <= positive
+        assert emb == find(g, f, f_root, at, positive)
+        outcomes.append(emb is not None)
+        return emb
+
+    monkeypatch.setattr(pipeline, "find_rooted_copy", both)
+    # the certificate LP, nearly all of a tree pattern's solve, steers no search
+    no_lp = (FractionalCover({}, Fraction(0)),)
+    monkeypatch.setattr(pipeline, "solve_cover_lp", lambda hg, weights: no_lp)
+    for g in sparse_weighted_hosts(name):
+        positive = frozenset(range(g.n)) - decompose_weights(g, good).zero_set
+        solve(g, h)
+    assert any(outcomes) and not all(outcomes)
+
+
+@pytest.mark.parametrize("name", ("paw", "C4", "K3", "P4", "K1,3", "bowtie"))
+def test_baseline_trace_is_the_whole_host_decomposition(name):
+    h = Pattern(DIFFERENTIAL_PATTERNS[name])
+    for g in sparse_weighted_hosts(name):
+        expected = restarting_decomposition(g, unit_weights(h.graph))
+        assert solve_baseline(g, h).detail.trace == expected
+
+
+def test_gadget_vertex_on_no_copy_fails_the_solve(monkeypatch):
+    # the uncached check over a search that misses every copy through the
+    # gadget's last vertex
+    monkeypatch.setattr(pipeline, "verify_copy_cover", oracle.verify_copy_cover.__wrapped__)
+    search = oracle.embeddings
+    monkeypatch.setattr(
+        oracle,
+        "embeddings",
+        lambda g, h, **kw: (e for e in search(g, h, **kw) if g.n - 1 not in e),
+    )
+    paw = Pattern(DIFFERENTIAL_PATTERNS["paw"])
+    with pytest.raises(VerificationError, match="gadget has a vertex on no pattern copy"):
+        solve(unit_weights(complete_graph(4)), paw)
+
+
+def test_copy_cover_certified_once_per_gadget():
+    h = Pattern(DIFFERENTIAL_PATTERNS["bowtie"])
+    g = unit_weights(random_graph(30, 0.3, 5))
+    solve(g, h)
+    solve_baseline(g, h)
+    before = oracle.verify_copy_cover.cache_info()
+    solve(g, h)
+    solve_baseline(g, h)
+    after = oracle.verify_copy_cover.cache_info()
+    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
