@@ -5,11 +5,16 @@ is a tuple whose entry i is the host image of pattern vertex i.
 Backtracking matches pattern vertices in a connectivity-respecting order
 with candidate images tried in ascending id, so enumeration order is
 deterministic.  That order and its checks are prepared once per
-(pattern, root, pairs), so each search does only host work.  A vertex
-with one placed neighbour takes its candidates from that neighbour's
-sorted tuple (``Graph.adjacency``); one with several, which closes a
-cycle, takes the sorted intersection of their neighbour sets
-(``Graph.neighbor_sets``), so only common neighbours are tried.  Full
+(pattern, root, pairs) and compiled, once, into a generator function
+with one nested ``for`` loop per pattern vertex, so each search does
+only host work and pays no generator frame per matched vertex.  A
+vertex with one placed neighbour takes its candidates from that
+neighbour's sorted tuple (``Graph.adjacency``); one with several, which
+closes a cycle, takes the sorted intersection of their neighbour sets
+(``Graph.neighbor_sets``), so only common neighbours are tried.  Images
+stay distinct by ``!=`` tests against the placed vertices that are
+neither adjacent to the candidate's nor ordered against it by the pairs.
+The generated source holds only names and the plan's integers.  Full
 enumeration is symmetry-broken: ordering constraints on the images
 (Grochow & Kellis, RECOMB 2007) admit one embedding per subgraph copy
 instead of one per automorphism of the pattern.  Distinct copies are
@@ -21,7 +26,7 @@ from __future__ import annotations
 
 import functools
 from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Set
+from collections.abc import Callable, Iterator, Set
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError
@@ -47,16 +52,19 @@ class EnumerationBudget:
 @functools.cache
 def _plan(
     h: Graph, root: int | None, pairs: tuple[tuple[int, int], ...]
-) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...]]:
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple, ...], tuple[Callable, Callable]]:
     """Match plan of ``h``: the match order, the position of each pattern
-    vertex in it, and per position ``(anchor, checks, degree, above, below)``.
+    vertex in it, per position ``(anchor, checks, degree, above, below)``,
+    and the plan compiled into its two searches (``_compile``).
 
     Root (or max-degree vertex) first, then most-anchored-first.  Candidates
     are the host neighbours of the image at the ``anchor`` position and must
     be adjacent to the images at the ``checks`` positions.  A pair is enforced
     when its later-matched vertex is placed: its image must exceed the images
-    at the ``above`` positions and undercut the ``below`` ones.  Cached per
-    (pattern, root, pairs), so each search order is prepared once per process.
+    at the ``above`` positions and undercut the ``below`` ones.  A bound that
+    the pairs among the placed positions already imply is dropped (K1,7's last
+    leaf keeps only the leaf before it), so every bound kept binds.  Cached
+    per (pattern, root, pairs), so each search is prepared once per process.
     Raises ``ValueError`` for a root or pair vertex outside the pattern.
     """
     named = [v for pair in pairs for v in pair] + ([] if root is None else [root])
@@ -74,15 +82,105 @@ def _plan(
         if rank(best)[0] == 0:
             raise ValueError("pattern graph must be connected")
         pos[best] = len(pos)
-    steps = []
+    steps, clash = [], []
+    smaller: list[set[int]] = []  # per position, the placed positions whose images are below its
     for idx, hv in enumerate(pos):
         prior = sorted(pos[x] for x in adj[hv] if pos[x] < idx)
-        anchor = prior[0] if prior else -1
-        checks = tuple(prior[1:])  # the anchor is adjacent by construction
-        above = tuple(pos[a] for a, b in pairs if b == hv and pos[a] < idx)
-        below = tuple(pos[b] for a, b in pairs if a == hv and pos[b] < idx)
-        steps.append((anchor, checks, len(adj[hv]), above, below))
-    return tuple(pos), tuple(pos[v] for v in range(h.n)), tuple(steps)
+        above = {pos[a] for a, b in pairs if b == hv and pos[a] < idx}
+        below = {pos[b] for a, b in pairs if a == hv and pos[b] < idx}
+        # a bound below (above) another bound of the same side is implied by it
+        steps.append((
+            prior[0] if prior else -1,
+            tuple(prior[1:]),  # the anchor is adjacent by construction
+            len(adj[hv]),
+            tuple(sorted(p for p in above if not any(p in smaller[q] for q in above))),
+            tuple(sorted(p for p in below if not any(q in smaller[p] for q in below))),
+        ))
+        smaller.append(set().union(*({p} | smaller[p] for p in above)))
+        for p in range(idx):
+            if below & ({p} | smaller[p]):  # p's image is at least one this one undercuts
+                smaller[p] |= {idx} | smaller[idx]
+        # an image adjacent to, or ordered against, this one differs from it already
+        ordered = smaller[idx].union(p for p in range(idx) if idx in smaller[p])
+        clash.append([p for p in range(idx) if p not in prior and p not in ordered])
+    where = tuple(pos[v] for v in range(h.n))
+    return tuple(pos), where, tuple(steps), _compile(steps, where, clash)
+
+
+_SEGMENT = 16  # match positions per generated function: CPython nests at most 20 blocks
+
+
+def _compile(
+    steps: list[tuple], where: tuple[int, ...], clash: list[list[int]]
+) -> tuple[Callable, Callable]:
+    """The plan as two generator functions ``search(adj, sets, allowed, first)``
+    with one nested ``for`` per match position; the second tests ``allowed``.
+
+    Position i binds its image to ``c{i}``, its neighbour tuple to ``n{i}``
+    when a later position is anchored there, and a cycle-closing position's
+    sorted common neighbours to ``b{i}``.  Pair bounds cut one ``bisect``
+    slice, and a degree floor is tested only where adjacency does not
+    already imply it.  Distinctness is tested by ``!=`` against the
+    ``clash`` positions only: a host has no self-loops, so a neighbour of
+    an image differs from it.  A plan longer than ``_SEGMENT`` continues in
+    a next function, passed by default argument.  The source holds only
+    names and integers from the plan, never host data.
+    """
+    k = len(steps)
+    anchors = {step[0] for step in steps}
+
+    def placed(m: int) -> list[str]:  # the names bound before position m
+        return [f"c{p}" for p in range(m)] + [f"n{p}" for p in sorted(anchors) if 0 <= p < m]
+
+    lines: list[str] = []
+    names: list[str] = []
+    for variant, restricted in enumerate((False, True)):
+        for seg in reversed(range(0, k, _SEGMENT)):
+            names.append(f"search{variant}_{seg}")
+            params = ["adj", "sets", "allowed", *(placed(seg) or ["first"])]
+            if seg + _SEGMENT < k:
+                params.append(f"following=search{variant}_{seg + _SEGMENT}")
+            lines.append(f"def {names[-1]}({', '.join(params)}):")
+            ind = "    "
+            for idx in range(seg, min(seg + _SEGMENT, k)):
+                anchor, checks, deg, above, below = steps[idx]
+                if not idx:
+                    base = "first"
+                elif checks:  # the common neighbours of every placed neighbour, ascending
+                    others = ", ".join(f"sets[c{p}]" for p in (anchor, *checks[1:]))
+                    lines.append(f"{ind}b{idx} = sorted(sets[c{checks[0]}].intersection({others}))")
+                    base = f"b{idx}"
+                else:
+                    base = f"n{anchor}"
+                if above or below:  # candidates ascend, so the bounds cut a slice
+                    lo = ", ".join(f"c{p}" for p in above)
+                    hi = ", ".join(f"c{p}" for p in below)
+                    lo = f"bisect_right({base}, {lo if len(above) == 1 else f'max({lo})'})"
+                    hi = f"bisect_left({base}, {hi if len(below) == 1 else f'min({hi})'})"
+                    base = f"{base}[{lo if above else ''}:{hi if below else ''}]"
+                lines.append(f"{ind}for c{idx} in {base}:")
+                ind += "    "
+                tests = [f"c{idx} == c{p}" for p in clash[idx]]
+                if restricted:
+                    tests.append(f"c{idx} not in allowed")
+                bind = idx in anchors
+                if deg > (1 + len(checks) if idx else 0):  # more than its adjacencies imply
+                    tests.append(f"len({f'n{idx} := ' if bind else ''}adj[c{idx}]) < {deg}")
+                    bind = False
+                if tests:
+                    lines.append(f"{ind}if {' or '.join(tests)}:")
+                    lines.append(f"{ind}    continue")
+                if bind:
+                    lines.append(f"{ind}n{idx} = adj[c{idx}]")
+            if seg + _SEGMENT < k:
+                handed = ", ".join(placed(seg + _SEGMENT))
+                lines.append(f"{ind}yield from following(adj, sets, allowed, {handed})")
+            else:
+                lines.append(f"{ind}yield ({''.join(f'c{p}, ' for p in where)})")
+    namespace = {"bisect_left": bisect_left, "bisect_right": bisect_right}
+    exec(compile("\n".join(lines), "<match plan>", "exec"), namespace)
+    found = {name: namespace.pop(name) for name in names}  # so no function reaches itself
+    return found["search0_0"], found["search1_0"]
 
 
 def embeddings(
@@ -98,8 +196,10 @@ def embeddings(
     """Yield embeddings of ``h`` into ``g`` in deterministic order.
 
     The order is lexicographic in the images along the match order.
-    A position with checks draws its candidates from one sorted set
-    intersection, the order that filtering the anchor's neighbours gives.
+    The search is the plan's compiled nested loops (``_compile``), the
+    variant that tests ``allowed`` only when it is given.  A position
+    with checks draws its candidates from one sorted set intersection,
+    the order that filtering the anchor's neighbours gives.
     ``root``/``root_image`` pin one pattern vertex to one host vertex; a
     ``root_image`` outside the host has no embedding, and a ``root``
     outside the pattern raises ``ValueError``.  ``allowed`` restricts all
@@ -119,49 +219,13 @@ def embeddings(
         raise ValueError("start must be nonnegative")
     if start and root is not None:
         raise ValueError("start cannot be combined with a pinned root")
-    _, where, steps = _plan(h, root, pairs)
+    _, _, steps, searches = _plan(h, root, pairs)
     if h.n > g.n or (root_image is not None and not 0 <= root_image < g.n):
         return  # checked after the plan, so a bad root raises whatever the host
-    g_adj = g.adjacency
     # only a pattern with a cycle has checks, so trees never build the sets
     g_sets = g.neighbor_sets if any(step[1] for step in steps) else ()
     first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
-    image = [-1] * h.n  # indexed by match position; -1 until placed
-
-    def extend(idx: int) -> Iterator[tuple[int, ...]]:
-        if idx == h.n:
-            yield tuple([image[p] for p in where])
-            return
-        anchor, check, deg, above, below = steps[idx]
-        if not idx:
-            base = first
-        elif check:  # the common neighbours of every placed neighbour, ascending
-            base = sorted(
-                g_sets[image[check[0]]].intersection(
-                    g_sets[image[anchor]], *[g_sets[image[p]] for p in check[1:]]
-                )
-            )
-        else:
-            base = g_adj[image[anchor]]
-        if base and (above or below):  # candidates ascend, so the bounds cut a slice
-            lo = max((image[p] for p in above), default=-1)
-            hi = min((image[p] for p in below), default=g.n)
-            base = base[bisect_right(base, lo) : bisect_left(base, hi)]
-        for c in base:
-            if c in image:
-                continue
-            if allowed is not None and c not in allowed:
-                continue
-            if len(g_adj[c]) < deg:
-                continue
-            image[idx] = c
-            yield from extend(idx + 1)
-        image[idx] = -1
-
-    try:
-        yield from extend(0)
-    finally:
-        del extend  # it refers to itself: break the cycle so the search state is freed now
+    yield from searches[allowed is not None](g.adjacency, g_sets, allowed, first)
 
 
 @functools.cache

@@ -513,7 +513,7 @@ def scanning_embeddings(
     if start and root is not None:
         raise ValueError("start cannot be combined with a pinned root")
     g_adj = g.adjacency
-    _, where, steps = _plan(h, root, pairs)
+    _, where, steps, _ = _plan(h, root, pairs)
     first = [root_image] if root_image is not None else range(start, g.n)  # position 0's candidates
     image = [-1] * h.n  # indexed by match position
     used: set[int] = set()

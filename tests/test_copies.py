@@ -335,7 +335,8 @@ def test_embeddings_start_with_root_rejected():
         list(embeddings(complete_graph(5), P3.graph, root=0))
 
 
-ORDER_PATTERNS = ("P3", "K3", "C4", "paw", "K4", "diamond", "paw-gadget")
+# every differential pattern, and K1,7: the star with the longest chain of pair bounds
+ORDER_PATTERNS = {**DIFFERENTIAL_PATTERNS, "K1,7": star_graph(7)}
 ORDER_PREFIX = 4_000  # a dense host has millions of paw-gadget embeddings
 
 
@@ -345,9 +346,9 @@ def _order_hosts():
         yield random_graph(30, 0.5, seed)  # dense: most candidates fail some check
 
 
-@pytest.mark.parametrize("name", ORDER_PATTERNS)
+@pytest.mark.parametrize("name", sorted(ORDER_PATTERNS))
 def test_embeddings_same_sequence_as_scanning_reference(name):
-    h = DIFFERENTIAL_PATTERNS[name]
+    h = ORDER_PATTERNS[name]
     pairs = symmetry_pairs(h)
     for g in _order_hosts():
         rng = random.Random(g.n)
@@ -369,6 +370,65 @@ def test_embeddings_same_sequence_as_scanning_reference(name):
             got = list(itertools.islice(embeddings(g, h, **kwargs), ORDER_PREFIX))
             want = list(itertools.islice(scanning_embeddings(g, h, **kwargs), ORDER_PREFIX))
             assert got == want, kwargs
+
+
+@pytest.mark.parametrize("leaves", [5, 7])
+def test_plan_keeps_one_binding_bound_per_star_leaf(leaves):
+    h = star_graph(leaves)
+    pairs = symmetry_pairs(h)
+    order, _, steps, _ = copies._plan(h, None, pairs)
+    assert order[0] == 0  # the centre; every later position is a leaf
+    assert [step[3] for step in steps[1:]] == [()] + [(p - 1,) for p in range(2, leaves + 1)]
+    assert all(step[4] == () for step in steps)
+    for g in _order_hosts():
+        got = list(itertools.islice(embeddings(g, h, pairs=pairs), ORDER_PREFIX))
+        assert got == list(itertools.islice(scanning_embeddings(g, h, pairs=pairs), ORDER_PREFIX))
+    total = 0
+    for g, _ in _differential_hosts():
+        # every pair as given, tested on the unrestricted sequence, admits the same embeddings
+        got = list(embeddings(g, h, pairs=pairs))
+        assert got == [emb for emb in embeddings(g, h) if all(emb[a] < emb[b] for a, b in pairs)]
+        total += len(got)
+    assert total > 0
+
+
+@pytest.mark.parametrize("name", ["P4", "K1,3", "C4", "paw", "diamond", "bowtie"])
+def test_arbitrary_pairs_filter_the_unrestricted_sequence(name):
+    # redundant, duplicated and contradictory pairs alike
+    h = DIFFERENTIAL_PATTERNS[name]
+    rng = random.Random(name)
+    for g, _ in _differential_hosts():
+        every = list(embeddings(g, h))
+        for _ in range(8):
+            pairs = tuple(tuple(rng.sample(range(h.n), 2)) for _ in range(rng.randint(1, 2 * h.n)))
+            want = [emb for emb in every if all(emb[a] < emb[b] for a, b in pairs)]
+            assert list(embeddings(g, h, pairs=pairs)) == want, pairs
+
+
+def test_compiled_searches_match_scanning_reference_on_atlas():
+    for x in connected_atlas():
+        h = Graph(x.number_of_nodes(), list(x.edges()))
+        pairs = symmetry_pairs(h)
+        assert list(embeddings(h, h)) == list(scanning_embeddings(h, h))
+        assert list(embeddings(h, h, pairs=pairs)) == list(scanning_embeddings(h, h, pairs=pairs))
+
+
+def test_long_plans_continue_across_generated_functions():
+    # more match positions than one generated function nests; counts are per search below
+    cases = (
+        (path_graph(40), cycle_graph(43), (86, 43, 4)),
+        (cycle_graph(35), cycle_graph(35), (70, 1, 0)),
+    )
+    for h, g, counts in cases:
+        searches = ({}, {"pairs": symmetry_pairs(h)}, {"allowed": frozenset(range(2, g.n))})
+        for kwargs, count in zip(searches, counts):
+            got = list(embeddings(g, h, **kwargs))
+            assert got == list(scanning_embeddings(g, h, **kwargs))
+            assert len(got) == count and all(is_embedding(g, h, emb) for emb in got)
+    k18 = complete_graph(18)
+    assert list(itertools.islice(embeddings(k18, k18, root=5, root_image=5), 50)) == list(
+        itertools.islice(scanning_embeddings(k18, k18, root=5, root_image=5), 50)
+    )
 
 
 def _edge_image(h: Graph, emb: tuple[int, ...]) -> frozenset:
