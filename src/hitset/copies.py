@@ -61,10 +61,13 @@ def _plan(
     are the host neighbours of the image at the ``anchor`` position and must
     be adjacent to the images at the ``checks`` positions.  A pair is enforced
     when its later-matched vertex is placed: its image must exceed the images
-    at the ``above`` positions and undercut the ``below`` ones.  A bound that
-    the pairs among the placed positions already imply is dropped (K1,7's last
-    leaf keeps only the leaf before it), so every bound kept binds.  Cached
-    per (pattern, root, pairs), so each search is prepared once per process.
+    at the ``above`` positions and undercut the ``below`` ones.  A bound is
+    dropped when a pair puts it inside another bound of the same side (K1,7's
+    last leaf keeps only the leaf before it).  No transitive closure is taken:
+    ``symmetry_pairs`` output is closed already, so for it every kept bound
+    binds; other pairs may keep a bound that a chain of them implies, which
+    costs a redundant test.  Cached per (pattern, root, pairs), so each
+    search is prepared once per process.
     Raises ``ValueError`` for a root or pair vertex outside the pattern.
     """
     named = [v for pair in pairs for v in pair] + ([] if root is None else [root])
@@ -82,27 +85,22 @@ def _plan(
         if rank(best)[0] == 0:
             raise ValueError("pattern graph must be connected")
         pos[best] = len(pos)
+    less = {(pos[a], pos[b]) for a, b in pairs if a != b}  # p's image < q's; (v, v) binds nothing
     steps, clash = [], []
-    smaller: list[set[int]] = []  # per position, the placed positions whose images are below its
     for idx, hv in enumerate(pos):
         prior = sorted(pos[x] for x in adj[hv] if pos[x] < idx)
-        above = {pos[a] for a, b in pairs if b == hv and pos[a] < idx}
-        below = {pos[b] for a, b in pairs if a == hv and pos[b] < idx}
+        above = {p for p in range(idx) if (p, idx) in less}
+        below = {p for p in range(idx) if (idx, p) in less}
         # a bound below (above) another bound of the same side is implied by it
         steps.append((
             prior[0] if prior else -1,
             tuple(prior[1:]),  # the anchor is adjacent by construction
             len(adj[hv]),
-            tuple(sorted(p for p in above if not any(p in smaller[q] for q in above))),
-            tuple(sorted(p for p in below if not any(q in smaller[p] for q in below))),
+            tuple(sorted(p for p in above if not any((p, q) in less for q in above))),
+            tuple(sorted(p for p in below if not any((q, p) in less for q in below))),
         ))
-        smaller.append(set().union(*({p} | smaller[p] for p in above)))
-        for p in range(idx):
-            if below & ({p} | smaller[p]):  # p's image is at least one this one undercuts
-                smaller[p] |= {idx} | smaller[idx]
         # an image adjacent to, or ordered against, this one differs from it already
-        ordered = smaller[idx].union(p for p in range(idx) if idx in smaller[p])
-        clash.append([p for p in range(idx) if p not in prior and p not in ordered])
+        clash.append([p for p in range(idx) if p not in prior and p not in above | below])
     where = tuple(pos[v] for v in range(h.n))
     return tuple(pos), where, tuple(steps), _compile(steps, where, clash)
 
@@ -209,8 +207,6 @@ def embeddings(
     matched first, so a search can resume where an earlier one found its
     first embedding.
     """
-    if h.n == 0:
-        return
     if (root is None) != (root_image is None):
         raise ValueError("root and root_image must be given together")
     if pairs and root is not None:
@@ -219,6 +215,8 @@ def embeddings(
         raise ValueError("start must be nonnegative")
     if start and root is not None:
         raise ValueError("start cannot be combined with a pinned root")
+    if h.n == 0 and root is None and not pairs:
+        return  # the plan rejects any root or pair vertex of the empty pattern
     _, _, steps, searches = _plan(h, root, pairs)
     if h.n > g.n or (root_image is not None and not 0 <= root_image < g.n):
         return  # checked after the plan, so a bad root raises whatever the host

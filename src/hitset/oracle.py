@@ -9,7 +9,8 @@ from the bound that taking every vertex of positive key gives.  It
 deliberately does not touch the LP module, so LP tests can compare
 against it as an independent reference.  A vertex cover is a
 unit-weight ``min_weight_cover`` of the graph's edges, so its answer is
-decoded and checked like every other.
+decoded and checked like every other.  ``verify_goodness`` reads both
+gadget properties, coverage and weight, off one copy hypergraph.
 
 Tie-breaking is deterministic, and the search runs once.  Of N
 candidate vertices, vertex i has the key ``w(i)*L*2^N - 2^(N-1-i)``,
@@ -30,7 +31,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .copies import EnumerationBudget, build_copy_hypergraph, embeddings, symmetry_pairs
+from .copies import EnumerationBudget, build_copy_hypergraph
 from .errors import VerificationError
 from .graphs import Graph, Pattern, WeightedGraph, as_fraction
 
@@ -139,28 +140,14 @@ def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
 
 @functools.cache
 def verify_goodness(good: WeightedGraph, h: Pattern) -> bool:
-    """Exhaustively check that every hitting set of the gadget weighs at least 1.
+    """Exhaustively certify a gadget from its copies of the pattern: they
+    cover every gadget vertex, and every set hitting them weighs at least 1.
 
-    Cached by value: each distinct gadget and pattern is checked once per process.
+    Coverage keeps a gadget embedding on a host's positive vertices on the
+    vertices of the host's copies on positive vertices, so the solve route
+    searches only those.  Cached by value: each distinct gadget and pattern
+    is checked once per process.
     """
-    _, weight = exact_min_hitting_set(good, h, cap=good.n)
-    return weight >= 1
-
-
-@functools.cache
-def verify_copy_cover(good: WeightedGraph, h: Pattern) -> None:
-    """Raise ``VerificationError`` unless the pattern's copies cover the gadget.
-
-    Then every gadget embedding on a host's positive vertices stays on the
-    vertices of the host's copies on positive vertices, which is what lets
-    the solve route restrict its subtraction searches to them.  The search
-    yields one embedding per copy and stops once they cover every gadget
-    vertex.  Cached by value, so each distinct gadget and pattern passes
-    the check once per process.
-    """
-    covered: set[int] = set()
-    for emb in embeddings(good.graph, h.graph, pairs=symmetry_pairs(h.graph)):
-        covered.update(emb)
-        if len(covered) == good.n:
-            return
-    raise VerificationError("gadget has a vertex on no pattern copy")
+    hg = build_copy_hypergraph(good, h)
+    covered = len(hg.covered_vertices()) == good.n
+    return covered and min_weight_cover(hg.hyperedges, good.weights)[1] >= 1

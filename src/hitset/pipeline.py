@@ -1,8 +1,8 @@
 """End-to-end solvers with per-instance certificates.
 
-One route serves every pattern: subtract a gadget, certified by the
-exact oracle to weigh at least 1 on each of its hitting sets, until the
-residual is gadget-free, then, when the pattern has a semi-symmetric cut
+One route serves every pattern: subtract a gadget, certified exactly to
+have each vertex on a pattern copy and each hitting set weigh at least 1,
+until the residual is gadget-free, then, with a semi-symmetric cut
 vertex, colour a conflict digraph built from one chosen copy per central
 vertex and run the colour-guided cover with a palette of 2k.  With such
 a cut vertex the gadget is the branch gadget and the factor is k - 1/2;
@@ -36,7 +36,7 @@ from .errors import VerificationError
 from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph
 from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
-from .oracle import verify_copy_cover, verify_goodness
+from .oracle import verify_goodness
 from .patterns import (
     PatternClass,
     RootedDecomposition,
@@ -102,14 +102,13 @@ def _route(
     good = construct_good_graph(h, d)
     if not verify_goodness(good, h):
         raise VerificationError("gadget failed its goodness certificate")
-    verify_copy_cover(good, h)
 
     # certificate: fractional cover value of the original instance; edges
     # touching a zero-weight vertex are covered for free
     zero = {v for v, x in enumerate(g.weights) if not x}
     lp_edges = tuple(e for e in hyperedges or () if zero.isdisjoint(e))
-    # every gadget vertex lies on a pattern copy, so a gadget embedding on
-    # positive vertices stays on the vertices of the copies in ``lp_edges``
+    # every gadget vertex lies on a pattern copy (``verify_goodness``), so a gadget
+    # embedding on positive vertices stays on the vertices of the copies in ``lp_edges``
     allowed = None if hyperedges is None else {v for e in lp_edges for v in e}
     trace = decompose_weights(g, good, budget, allowed)
     tau_star = Fraction(0)

@@ -54,6 +54,11 @@ def star_graph(leaves: int) -> Graph:
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
+def with_isolated_vertex(good: WeightedGraph) -> WeightedGraph:
+    """The gadget plus one vertex of weight 1 on no edge, so on no copy."""
+    return WeightedGraph(Graph(good.n + 1, good.graph.edges), (*good.weights, 1))
+
+
 def branch_gadget(g: Graph) -> Graph:
     """Graph of the gadget ``solve`` subtracts for pattern ``g``."""
     p = Pattern(g)

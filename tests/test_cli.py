@@ -18,6 +18,7 @@ from helpers import (
     star_graph,
     too_many_digits,
     triangle_square_share_vertex,
+    with_isolated_vertex,
 )
 
 K3_TEXT = "p 3 3\ne 0 1\ne 1 2\ne 0 2\n"
@@ -297,12 +298,15 @@ def test_analyze_uncertified_gadget_exit_code(files, capsys, monkeypatch):
 def test_solve_gadget_vertex_on_no_copy_exit_code(files, capsys, monkeypatch):
     _, k3, p3, _ = files
     monkeypatch.setattr(
-        hitset.pipeline, "verify_copy_cover", hitset.oracle.verify_copy_cover.__wrapped__
+        hitset.pipeline, "verify_goodness", hitset.oracle.verify_goodness.__wrapped__
     )
-    monkeypatch.setattr(hitset.oracle, "embeddings", lambda g, h, **kw: iter(()))
+    build = hitset.pipeline.construct_good_graph
+    monkeypatch.setattr(
+        hitset.pipeline, "construct_good_graph", lambda h, d: with_isolated_vertex(build(h, d))
+    )
     code, out, err = run(capsys, "solve", k3, p3)
     assert (code, out) == (4, "")
-    assert err == "error: gadget has a vertex on no pattern copy\n"
+    assert err == "error: gadget failed its goodness certificate\n"
 
 
 def test_value_error_exit_code(capsys):

@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import random
 
@@ -333,6 +334,13 @@ def test_embeddings_start_with_root_rejected():
         list(embeddings(complete_graph(5), P3.graph, start=-1))
     with pytest.raises(ValueError, match="given together"):
         list(embeddings(complete_graph(5), P3.graph, root=0))
+    # the empty pattern is checked like any other
+    with pytest.raises(ValueError, match="given together"):
+        list(embeddings(complete_graph(5), Graph(0), root=0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        list(embeddings(complete_graph(5), Graph(0), start=-1))
+    with pytest.raises(ValueError, match="vertices of the pattern"):
+        list(embeddings(complete_graph(5), Graph(0), root=5, root_image=0))
 
 
 # every differential pattern, and K1,7: the star with the longest chain of pair bounds
@@ -411,6 +419,32 @@ def test_compiled_searches_match_scanning_reference_on_atlas():
         pairs = symmetry_pairs(h)
         assert list(embeddings(h, h)) == list(scanning_embeddings(h, h))
         assert list(embeddings(h, h, pairs=pairs)) == list(scanning_embeddings(h, h, pairs=pairs))
+
+
+# sha256 over the steps and generated source of every pattern's symmetry-broken plan
+PLAN_DIGEST = "f1a82c0d0eda4e24631e92d3c3ea962827ff92604774fb64dc093d526d5ed866"
+
+
+def test_symmetry_plans_match_their_digest(monkeypatch):
+    # the 995 connected atlas graphs, the 176 trees with 8 to 10 vertices, and K1,8
+    patterns = [Graph(x.number_of_nodes(), list(x.edges())) for x in connected_atlas()]
+    patterns += [Graph(n, list(t.edges())) for n in (8, 9, 10) for t in nx.nonisomorphic_trees(n)]
+    patterns.append(star_graph(8))
+    sources = []
+    generate = compile
+    monkeypatch.setattr(
+        copies, "compile", lambda src, *args: sources.append(src) or generate(src, *args),
+        raising=False,
+    )
+    digest = hashlib.sha256()
+    for h in patterns:
+        pairs = symmetry_pairs(h)
+        # transitively closed, which is what lets ``_plan`` read bounds off the pairs
+        closed = set(pairs)
+        assert all((a, c) in closed for a, b in pairs for b2, c in pairs if b == b2), h
+        _, _, steps, _ = copies._plan.__wrapped__(h, None, pairs)
+        digest.update(f"{steps!r}\n{sources.pop()}\n".encode())
+    assert digest.hexdigest() == PLAN_DIGEST
 
 
 def test_long_plans_continue_across_generated_functions():

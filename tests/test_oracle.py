@@ -99,6 +99,11 @@ def test_verify_goodness_star_gadget():
     assert not verify_goodness(WeightedGraph(gadget, [w * Fraction(4, 5) for w in halves]), P3)
 
 
+def test_verify_goodness_rejects_a_vertex_on_no_copy():
+    # every hitting set of the one copy weighs 1, but vertex 3 lies on no copy
+    assert not verify_goodness(unit_weights(Graph(4, [(0, 1), (1, 2)])), P3)
+
+
 def test_cap_enforced():
     with pytest.raises(ValueError):
         exact_min_hitting_set(unit_weights(Graph(25)), P3, cap=20)

@@ -47,6 +47,7 @@ from helpers import (
     sparse_weighted_hosts,
     star_graph,
     triangle_square_share_vertex,
+    with_isolated_vertex,
 )
 
 P3 = Pattern(path_graph(3))
@@ -439,17 +440,15 @@ def test_baseline_trace_is_the_whole_host_decomposition(name):
 
 
 def test_gadget_vertex_on_no_copy_fails_the_solve(monkeypatch):
-    # the uncached check over a search that misses every copy through the
-    # gadget's last vertex
-    monkeypatch.setattr(pipeline, "verify_copy_cover", oracle.verify_copy_cover.__wrapped__)
-    search = oracle.embeddings
+    # the uncached certificate of a gadget whose every hitting set still
+    # weighs at least 1, but with a vertex on no pattern copy
+    monkeypatch.setattr(pipeline, "verify_goodness", oracle.verify_goodness.__wrapped__)
+    build = pipeline.construct_good_graph
     monkeypatch.setattr(
-        oracle,
-        "embeddings",
-        lambda g, h, **kw: (e for e in search(g, h, **kw) if g.n - 1 not in e),
+        pipeline, "construct_good_graph", lambda h, d: with_isolated_vertex(build(h, d))
     )
     paw = Pattern(DIFFERENTIAL_PATTERNS["paw"])
-    with pytest.raises(VerificationError, match="gadget has a vertex on no pattern copy"):
+    with pytest.raises(VerificationError, match="gadget failed its goodness certificate"):
         solve(unit_weights(complete_graph(4)), paw)
 
 
@@ -458,8 +457,8 @@ def test_copy_cover_certified_once_per_gadget():
     g = unit_weights(random_graph(30, 0.3, 5))
     solve(g, h)
     solve_baseline(g, h)
-    before = oracle.verify_copy_cover.cache_info()
+    before = verify_goodness.cache_info()
     solve(g, h)
     solve_baseline(g, h)
-    after = oracle.verify_copy_cover.cache_info()
+    after = verify_goodness.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)
