@@ -203,7 +203,8 @@ def embeddings(
     outside the pattern raises ``ValueError``.  ``allowed`` restricts all
     images.  Each ``(a, b)`` in ``pairs`` requires image[a] < image[b];
     with ``symmetry_pairs(h)`` exactly one embedding per subgraph copy is
-    yielded.  ``start`` is a lower bound on the image of the vertex
+    yielded.  A pair ``(v, v)``, which no embedding can meet, raises
+    ``ValueError``.  ``start`` is a lower bound on the image of the vertex
     matched first, so a search can resume where an earlier one found its
     first embedding.
     """
@@ -215,6 +216,8 @@ def embeddings(
         raise ValueError("start must be nonnegative")
     if start and root is not None:
         raise ValueError("start cannot be combined with a pinned root")
+    if pairs and any(a == b for a, b in pairs):  # most searches pass no pairs
+        raise ValueError("an ordering pair (v, v) can never hold")
     if h.n == 0 and root is None and not pairs:
         return  # the plan rejects any root or pair vertex of the empty pattern
     _, _, steps, searches = _plan(h, root, pairs)

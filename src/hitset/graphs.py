@@ -9,19 +9,31 @@ touches floating point.  The instance text format is line oriented:
 
 ``#`` starts a comment and blank lines are ignored.  Vertex ids are the
 dense range 0..n-1.
+
+``parse_graph`` reads canonical text (what ``serialize_graph`` writes:
+the header, edge lines, then weight lines, single spaces, ``\n`` line
+ends, unsigned digits) in bulk, and any other text line by line.  Both
+give the same graphs; every error comes from the line-by-line checker.
+``Graph`` and ``WeightedGraph`` check their input in bulk too, and walk
+it one item at a time only to name its first fault.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat, starmap
 from typing import Callable, Iterable
+
+import numpy as np
 
 from .errors import ParseError
 
 Edge = tuple[int, int]
+_LOW, _HIGH = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -39,7 +51,11 @@ def as_fraction(value) -> Fraction:
 
 @dataclass(frozen=True)
 class Graph:
-    """Simple undirected graph on vertices 0..n-1."""
+    """Simple undirected graph on vertices 0..n-1.
+
+    The edges are normalised and checked in bulk; only a faulty input is
+    walked edge by edge, so the error names its first fault in input order.
+    """
 
     n: int
     edges: frozenset[Edge] = frozenset()
@@ -47,14 +63,22 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        normal = set()
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
-            normal.add(normalize_edge(u, v))
-        object.__setattr__(self, "edges", frozenset(normal))
+        edges = self.edges
+        if iter(edges) is edges:  # a one-shot iterator: keep it for the fault walk
+            edges = tuple(edges)
+        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
+        if pairs and (
+            min(map(_LOW, pairs)) < 0
+            or max(map(_HIGH, pairs)) >= self.n
+            or not all(starmap(operator.lt, pairs))
+        ):
+            for u, v in edges:
+                if u == v:
+                    raise ValueError(f"self-loop at vertex {u}")
+                if not (0 <= u < self.n and 0 <= v < self.n):
+                    raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        # through a set, so the frozenset table is sized for the edges, not grown
+        object.__setattr__(self, "edges", frozenset(set(pairs)))
 
     @property
     def m(self) -> int:
@@ -154,16 +178,22 @@ def _glue(g: Graph, sites: Iterable, fixed: Callable, piece: list[Edge]) -> tupl
 
 @dataclass(frozen=True)
 class WeightedGraph:
-    """Graph plus one nonnegative exact rational weight per vertex."""
+    """Graph plus one nonnegative exact rational weight per vertex.
+
+    Weights that are all ``Fraction`` are kept as given and checked in
+    bulk; any other weights are converted one at a time by ``as_fraction``.
+    """
 
     graph: Graph
     weights: tuple[Fraction, ...]
 
     def __post_init__(self):
-        ws = tuple(as_fraction(w) for w in self.weights)
+        ws = tuple(self.weights)
+        if not set(map(type, ws)) <= {Fraction}:
+            ws = tuple(map(as_fraction, ws))
         if len(ws) != self.graph.n:
             raise ValueError("need exactly one weight per vertex")
-        if any(w < 0 for w in ws):
+        if ws and min(map(operator.attrgetter("numerator"), ws)) < 0:
             raise ValueError("weights must be nonnegative")
         object.__setattr__(self, "weights", ws)
 
@@ -285,8 +315,8 @@ def _read_lines(
     return n, m, header_line
 
 
-def parse_graph(text: str | bytes) -> WeightedGraph:
-    """Parse instance text into a weighted graph; weights default to 1."""
+def _parse_lines(text: str | bytes) -> WeightedGraph:
+    """Check instance text line by line; every ``ParseError`` of ``parse_graph`` comes from here."""
     edges: dict[Edge, int] = {}
     weights: dict[int, Fraction] = {}
 
@@ -322,6 +352,61 @@ def parse_graph(text: str | bytes) -> WeightedGraph:
     one = Fraction(1)  # shared default: n vertices cost n references, not n objects
     ws = tuple(weights.get(v, one) for v in range(n))
     return WeightedGraph(graph, ws)
+
+
+# Canonical text, as serialize_graph writes it, matched one block at a time
+# (one match over every block would keep the engine's backtracking state for
+# all of them).  Ids and counts have at most 18 digits, so they fit a 64-bit
+# integer; weights at most 600 digits a part, under any int-conversion limit;
+# a denominator has no leading zero, so it is never 0.
+_HEADER = re.compile(r"p ([0-9]{1,18}) ([0-9]{1,18})\n")
+_EDGE_LINES = re.compile(r"(?:e [0-9]{1,18} [0-9]{1,18}\n)*")
+_WEIGHT_LINES = re.compile(r"(?:w [0-9]{1,18} [0-9]{1,600}(?:/[1-9][0-9]{0,599})?\n)*")
+
+
+def _read_canonical(text: str | bytes) -> WeightedGraph | None:
+    """Canonical text read in bulk; None for any text the line checker must decide."""
+    if not isinstance(text, str):
+        if not isinstance(text, (bytes, bytearray)) or not text.isascii():
+            return None
+        text = text.decode("ascii")
+    header = _HEADER.match(text)
+    if header is None:
+        return None
+    edge_lines = _EDGE_LINES.match(text, header.end())
+    weight_lines = _WEIGHT_LINES.fullmatch(text, edge_lines.end())
+    if weight_lines is None:
+        return None
+    n, m = int(header[1]), int(header[2])
+    ends = np.fromstring(edge_lines[0].replace("e", ""), dtype=np.int64, sep=" ")
+    if len(ends) != 2 * m:
+        return None
+    try:  # the constructor checks ranges and self-loops
+        graph = Graph(n, ends.reshape(m, 2).tolist())
+    except ValueError:
+        return None
+    if graph.m != m:  # two lines named the same edge
+        return None
+    fields = weight_lines[0].split()
+    owners, values = list(map(int, fields[1::3])), fields[2::3]
+    del fields
+    if owners and max(owners) >= n or len(set(owners)) != len(owners):
+        return None
+    exact = {value: Fraction(value) for value in set(values)}  # one Fraction per distinct weight
+    weights = dict(zip(owners, map(exact.__getitem__, values)))
+    one = Fraction(1)  # shared default: n vertices cost n references, not n objects
+    return WeightedGraph(graph, tuple(map(weights.get, range(n), repeat(one, n))))
+
+
+def parse_graph(text: str | bytes) -> WeightedGraph:
+    """Parse instance text into a weighted graph; weights default to 1.
+
+    Canonical text is read in bulk; any other text, and any canonical
+    text with a fault, is read by the line-by-line checker, which gives
+    the same graphs and raises every ``ParseError``.
+    """
+    wg = _read_canonical(text)
+    return wg if wg is not None else _parse_lines(text)
 
 
 def serialize_graph(wg: WeightedGraph) -> str:

@@ -343,6 +343,17 @@ def test_embeddings_start_with_root_rejected():
         list(embeddings(complete_graph(5), Graph(0), root=5, root_image=0))
 
 
+def test_embeddings_self_pair_rejected():
+    # no embedding puts a vertex's image below itself; rejected before any plan is made
+    plans = copies._plan.cache_info()
+    with pytest.raises(ValueError, match=r"ordering pair \(v, v\)"):
+        list(embeddings(complete_graph(3), P3.graph, pairs=((0, 0),)))
+    with pytest.raises(ValueError, match=r"ordering pair \(v, v\)"):
+        list(embeddings(complete_graph(3), P3.graph, pairs=((0, 1), (2, 2))))
+    assert copies._plan.cache_info() == plans
+    assert list(embeddings(complete_graph(3), P3.graph, pairs=((0, 1), (1, 0)))) == []
+
+
 # every differential pattern, and K1,7: the star with the longest chain of pair bounds
 ORDER_PATTERNS = {**DIFFERENTIAL_PATTERNS, "K1,7": star_graph(7)}
 ORDER_PREFIX = 4_000  # a dense host has millions of paw-gadget embeddings

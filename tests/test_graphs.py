@@ -14,8 +14,9 @@ from hitset import (
     serialize_graph,
     unit_weights,
 )
+from hitset import graphs
 from hitset.cli import parse_solution_document
-from hitset.generators import parse_hypergraph_text
+from hitset.generators import parse_hypergraph_text, random_graph
 from helpers import too_many_digits
 
 PARSE_ERROR_KINDS = {"malformed", "vertex-range", "duplicate-edge", "negative-weight"}
@@ -124,6 +125,41 @@ def test_graph_validation():
         WeightedGraph(Graph(2), (Fraction(1),))
 
 
+@pytest.mark.parametrize(
+    "edges,message",
+    [
+        # the first fault in input order is named, whatever the faults after it
+        ([(0, 1), (0, 5), (1, 1)], r"edge \(0, 5\) out of range for n=3"),
+        ([(1, 1), (0, 5)], "self-loop at vertex 1"),
+        ([(4, 0), (2, 2)], r"edge \(4, 0\) out of range for n=3"),  # as given, not normalised
+        ([(0, 1), (5, 5)], "self-loop at vertex 5"),  # a self-loop before its range
+        ([(-1, 0), (1, 1)], r"edge \(-1, 0\) out of range for n=3"),
+        (iter([(0, 1), (2, 2), (0, 9)]), "self-loop at vertex 2"),  # a one-shot iterator
+    ],
+)
+def test_graph_names_its_first_fault(edges, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        Graph(3, edges)
+
+
+def test_weighted_graph_check_order():
+    # conversion, then the count, then the signs
+    with pytest.raises(TypeError, match="not floats"):
+        WeightedGraph(Graph(3), (Fraction(-1), 0.5, 1))
+    with pytest.raises(ValueError, match="^need exactly one weight per vertex$"):
+        WeightedGraph(Graph(2), (Fraction(-1),))
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        WeightedGraph(Graph(2), (1, Fraction(-1, 2)))
+    with pytest.raises(ValueError, match="^weights must be nonnegative$"):
+        WeightedGraph(Graph(2), (Fraction(1), Fraction(-1, 2)))
+    # Fractions are kept as given; other exact values become Fractions
+    half = Fraction(1, 2)
+    wg = WeightedGraph(Graph(3), (half, 2, True))
+    assert wg.weights[0] is half and wg.weights[1:] == (Fraction(2), Fraction(1))
+    assert all(type(w) is Fraction for w in wg.weights)
+    assert WeightedGraph(Graph(2), iter((half, half))).weights == (half, half)
+
+
 def test_is_connected_edge_cases():
     assert Graph(0).is_connected()
     assert Graph(1).is_connected()
@@ -177,6 +213,126 @@ def test_roundtrip_fractional_weights(wg, weights, as_bytes):
     wg = WeightedGraph(wg.graph, weights[: wg.n])
     text = serialize_graph(wg)
     assert parse_graph(text.encode() if as_bytes else text) == wg
+
+
+def _canonical_examples():
+    yield unit_weights(Graph(0))
+    yield unit_weights(Graph(5, [(0, 4)]))  # isolated vertices
+    yield WeightedGraph(Graph(3, [(0, 1), (1, 2)]), (Fraction(0), Fraction(7, 3), Fraction(1)))
+    g = random_graph(300, 4 / 300, 1)
+    yield unit_weights(g)
+    yield WeightedGraph(g, tuple(Fraction(v % 9 + 1, v % 4 + 1) for v in range(g.n)))
+
+
+def test_canonical_text_is_read_in_bulk(monkeypatch):
+    def no_line_checker(text):
+        raise AssertionError("the line checker read canonical text")
+
+    monkeypatch.setattr(graphs, "_parse_lines", no_line_checker)
+    for wg in _canonical_examples():
+        text = serialize_graph(wg)
+        for data in (text, text.encode()):
+            parsed = parse_graph(data)
+            assert parsed == wg
+            # one shared default weight
+            defaults = [w for v, w in enumerate(parsed.weights) if wg.weights[v] == 1]
+            assert all(w is defaults[0] for w in defaults)
+
+
+def _outcome(parse, data):
+    try:
+        return parse(data)
+    except ParseError as exc:
+        return exc.line, exc.kind, str(exc)
+
+
+_BAD_TOKENS = (
+    "x", "+1", "-1", "+0", "-0", "01", "007", "1_0", "\u0663", "3/0", "-1/2", "1/", "/2",
+    "2/04", "1.5", "7" * 19, "1" + "0" * 17, "7" * 601, "7" * 601 + "/3", "1/" + "3" * 601,
+)
+
+
+@st.composite
+def _corrupted_texts(draw):
+    """Serialized graphs, with up to three lines corrupted, and their encoding."""
+    wg = draw(weighted_graphs(max_n=6))
+    lines = serialize_graph(wg).splitlines()
+    n = wg.n
+    vertex = st.integers(0, n + 1)
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        kind = draw(st.sampled_from((
+            "token", "duplicate", "self-loop", "edge", "weight", "count", "comment", "blank",
+            "swap",
+        )))
+        if kind == "token":
+            i = draw(st.integers(0, len(lines) - 1))
+            fields = lines[i].split(" ")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_BAD_TOKENS))
+            lines[i] = " ".join(fields)
+        elif kind == "duplicate":
+            lines.insert(at, lines[draw(st.integers(0, len(lines) - 1))])
+        elif kind == "self-loop":
+            v = draw(vertex)
+            lines.insert(at, f"e {v} {v}")
+        elif kind == "edge":  # out of range, reversed, or a new edge out of place
+            lines.insert(at, f"e {draw(vertex)} {draw(vertex)}")
+        elif kind == "weight":
+            lines.insert(at, f"w {draw(vertex)} {draw(st.sampled_from(('0', '1', '5/2', '3')))}")
+        elif kind == "count":
+            lines[0] = f"p {n} {wg.graph.m + draw(st.sampled_from((-1, 1)))}"
+        elif kind == "comment":
+            if draw(st.booleans()):
+                lines.insert(at, "# a comment")
+            else:
+                lines[at - 1 if at else 0] += draw(st.sampled_from(("  # inline", "#", "\t")))
+        elif kind == "blank":
+            lines.insert(at, draw(st.sampled_from(("", " ", "\t"))))
+        elif len(lines) > 1:  # swap two lines: a weight line before an edge line, say
+            i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+    if draw(st.sampled_from((True, True, False))):
+        # back into canonical block order with the header counting the edge lines,
+        # so faults within lines reach the bulk reader's own checks
+        lines.sort(key=lambda line: "pew".find(line[:1]))
+        if lines and lines[0].startswith("p "):
+            lines[0] = f"p {n} {sum(line.startswith('e ') for line in lines)}"
+    # mostly canonical line ends and encodings, so the faults above are what varies
+    end = draw(st.sampled_from(("\n", "\n", "\n", "\r\n")))
+    text = end.join(lines) + draw(st.sampled_from((end, end, "")))
+    encoding = draw(st.sampled_from(("str", "str", "bytes", "bytes", "not UTF-8")))
+    if encoding == "str":
+        return text
+    data = text.encode()
+    if encoding == "bytes":
+        return data
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + b"\xff" + data[at:]
+
+
+@given(_corrupted_texts())
+# canonical in shape, each with one fault for the bulk reader's own checks to find
+@example("p 3 2\ne 0 1\ne 2 2\n")  # self-loop
+@example("p 3 2\ne 0 1\ne 1 0\n")  # duplicate edge
+@example("p 3 2\ne 0 1\ne 1 3\n")  # vertex out of range
+@example("p 3 1\ne 0 1\ne 1 2\n")  # more edge lines than the header counts
+@example("p 3 3\ne 0 1\ne 1 2\n")  # fewer
+@example("p 0 1\ne 0 1\n")
+@example("p 3 1\ne 0 1\nw 3 2\n")  # weight out of range
+@example("p 3 1\ne 0 1\nw 1 2\nw 1 2\n")  # duplicate weight
+@example("p 3 1\ne 0 1\nw 1 2/0\n")  # zero denominator
+@example("p 3 1\ne 0 1\nw 1 2/03\n")  # leading zeros
+@example("p 3 1\ne 00 001\nw 01 0/3\n")
+@example(f"p 3 1\ne 0 1\nw 1 {'7' * 600}/{'3' * 600}\n")
+@example(f"p 3 1\ne 0 1\nw 1 {'7' * 601}/{'3' * 601}\n")  # longer than the bulk reader takes
+@example(f"p 3 1\ne 0 {'0' * 18}1\n")
+@example(f"p 3 1\ne 0 {'1' + '0' * 17}\n")
+@example(f"p 3 1\ne 0 {'9' * 20}\n")  # past a 64-bit integer
+@example("p 3 1\ne 0 1\nw 1 2\ne 1 2\n")  # interleaved
+@settings(max_examples=300, derandomize=True, deadline=None)
+def test_bulk_reader_agrees_with_line_checker(data):
+    # equal graphs, or ParseErrors with equal line, kind and message
+    assert _outcome(parse_graph, data) == _outcome(graphs._parse_lines, data)
 
 
 # documents of a header and short lines get past the header far more often than raw text
