@@ -145,7 +145,7 @@ def cover_colored_hypergraph(
             raise VerificationError("cover value did not shrink after a removal")
         pending_bound = None
         active = sorted(cover.values)
-        zeros = [v for v in active if cover.values[v] == 0]
+        zeros = [v for v in active if not cover.values[v]]
         if not zeros:
             w_active = sum((weights[v] for v in active), _ZERO)
             paid = sum((matching.values[e] * len(e) for e in edges), _ZERO)

@@ -12,14 +12,22 @@ scaled to integers ``b = wint`` by the lcm of their denominators, and the
 whole state is one integer array bordered by the cost row and the
 right-hand side, ``T = d * [[B^-1, x_B, 0], [pi, z, 0]]``, with
 ``d = det(B) > 0``: ``d B^-1`` is the adjugate of the basis matrix, ``pi``
-the multipliers, ``z`` the matching value, and the last column is zero
-for the padding of short columns.  Pricing and the ratio test compare
-integers.  The entering column's direction is the sum of its rows'
-columns of ``T``, less ``d`` in the cost row for a hyperedge (cost 1), so
-that entry is ``-d * rc``; a pivot on row ``l`` with pivot element
-``p = dir[l]`` is one Bareiss update ``T[i] = (T[i] p - dir[i] T[l]) // d``
-of every other row (an exact division), after which ``d = p``.  When
-``p == d``, rows with ``dir[i] == 0`` keep their values and are skipped.
+the multipliers, ``z`` the matching value, and the last column, m + 1,
+is zero.  Pricing and the ratio test compare integers.  The entering
+column's direction is the sum of its rows' columns of ``T``, less ``d``
+in the cost row for a hyperedge (cost 1), so that entry is ``-d * rc``; a
+pivot on row ``l`` with pivot element ``p = dir[l]`` is one Bareiss
+update ``T[i] = (T[i] p - dir[i] T[l]) // d`` of every other row (an
+exact division), after which ``d = p``; it runs in place, on a copy of
+row ``l``.  When ``p == d``, rows with ``dir[i] == 0`` keep their values
+and are skipped.
+
+The set-up reads the hyperedges once.  Padded with -1 to the widest,
+they index one host-sized array that maps each covered vertex to its row
+and every other entry, -1 included, to column m + 1, so the padding of a
+short hyperedge adds zero wherever its columns are read: in pricing and
+in the entering direction.  ``_certify`` gets the same rows without the
+padding.
 
 ``T`` is held in int64 only while a bound proves that no intermediate
 reaches 2^63; beyond it, the same code runs on an object array of Python
@@ -47,7 +55,8 @@ and the next pricing and direction sums are at most width of those plus
 array.  The optimality certificate does not rely on that proof: it is
 checked in the final integers, scaled by ``d * scale``: nonnegativity,
 every capacity, every cover constraint and equal values.  Fractions are
-built only for the outputs, once, from the final basis.  Both solutions
+built only for the outputs, once, from the final basis, and every zero
+mass in them is the one shared ``Fraction(0)``.  Both solutions
 are exactly feasible, exactly optimal, and satisfy complementary
 slackness; their values agree exactly.
 
@@ -63,6 +72,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 from typing import Mapping, Sequence
@@ -100,31 +110,45 @@ def solve_cover_lp(
 
     Requires strictly positive weights on every covered vertex; a
     covered vertex with no weight is a ``ValueError``, a float weight a
-    ``TypeError``.  The output is deterministic for a fixed input.
+    ``TypeError``; the least faulty covered vertex names the error.  The
+    output is deterministic for a fixed input.
     """
-    verts = list(hg.covered_vertices())
-    edges = list(hg.hyperedges)
-    w = {}
+    edges = hg.hyperedges
+    if not edges:
+        return FractionalCover({}, _ZERO), FractionalMatching({}, _ZERO)
+    # E[t, j] is the t-th vertex of hyperedge j, or -1 past its end (C order, so pricing
+    # sums contiguous rows); index first marks the covered host vertices, then maps each
+    # to its row of T and every other entry, -1 included, to the zero column m + 1
+    lens = list(map(len, edges))
+    width = max(lens)
+    pad = (-1,) * width
+    padded = chain.from_iterable([e + pad[k:] for e, k in zip(edges, lens)])
+    E = np.fromiter(padded, np.intp, width * len(edges)).reshape(-1, width).T.copy()
+    index = np.zeros(hg.n + 1, np.intp)
+    index[E] = 1
+    verts = index[:-1].nonzero()[0].tolist()
+    m = len(verts)
+    index.fill(m + 1)
+    index[verts] = np.arange(m)
+
+    nums, dens = [], []
     for v in verts:
         try:
             x = weights[v]
         except (IndexError, KeyError):
             raise ValueError(f"covered vertex {v} has no weight") from None
-        w[v] = as_fraction(x)
-        if w[v] <= 0:
+        num, den = as_fraction(x).as_integer_ratio()
+        if num <= 0:
             raise ValueError(f"covered vertex {v} must have positive weight")
-    if not edges:
-        return FractionalCover({}, _ZERO), FractionalMatching({}, _ZERO)
+        nums.append(num)
+        dens.append(den)
+    scale = lcm(*dens)
+    wint = [num * (scale // den) for num, den in zip(nums, dens)]
 
-    m = len(verts)
-    row_of = {v: i for i, v in enumerate(verts)}
-    cols = [tuple(row_of[v] for v in e) for e in edges]
+    # slots[t, j] is the t-th row of column j, or the zero column m + 1
+    slots = index[E]
+    cols = [c[:k] for c, k in zip(zip(*slots.tolist()), lens)]
     nstruct = len(cols)
-    scale = lcm(*(w[v].denominator for v in verts))
-    wint = [w[v].numerator * (scale // w[v].denominator) for v in verts]
-    # slots[t, j] is the t-th row of column j, or the always-zero column m + 1
-    width = max(len(c) for c in cols)
-    slots = np.array([[c[t] if t < len(c) else m + 1 for c in cols] for t in range(width)])
 
     # T = d * [[B^-1, x_B, 0], [pi, z, 0]], all integer; pi is row m
     T = np.zeros((m + 1, m + 2), np.int64 if max(wint) < _INT64 else object)
@@ -137,11 +161,13 @@ def solve_cover_lp(
     big = max(wint)
     basis = [nstruct + i for i in range(m)]
     degenerate_streak = 0
+    key = np.empty(nstruct + m, T.dtype)
 
     while True:
         # key[j] = d - d * rc_j: the multiplier sum of a hyperedge, pi_int[r] + d for slack r
         pi = T[m]
-        key = np.concatenate((pi[slots].sum(0), pi[:m] + d))
+        np.add.reduce(pi[slots], 0, out=key[:nstruct])
+        np.add(pi[:m], d, out=key[nstruct:])
         if degenerate_streak >= _BLAND_AFTER:
             below = (key < d).nonzero()[0]
             entering = int(below[0]) if below.size else -1
@@ -154,7 +180,7 @@ def solve_cover_lp(
 
         # direction / d is B^-1 times the entering column; its cost-row entry is -rc
         if entering < nstruct:
-            direction = T[:, cols[entering]].sum(1)
+            direction = np.add.reduce(T[:, slots[:, entering]], 1)
             direction[m] -= d
         else:
             direction = T[:, entering - nstruct].copy()
@@ -182,6 +208,7 @@ def solve_cover_lp(
             q = big * p + int(abs(direction).max()) * int(abs(T[leave]).max())
             if q >= _INT64 or width * max(big, q // d) + p >= _INT64:
                 T, direction = T.astype(object), direction.astype(object)
+                key = key.astype(object)
                 checked = False
         prow = T[leave]
         direction[leave] = 0
@@ -190,8 +217,11 @@ def solve_cover_lp(
             T[changed] -= direction[changed, None] * prow // d
             if checked and changed.size:
                 big = max(big, int(abs(T[changed]).max()))
-        else:
-            T = (T * p - direction[:, None] * prow) // d
+        else:  # in place, so on a copy of the pivot row
+            prow = prow.copy()
+            T *= p
+            T -= direction[:, None] * prow
+            T //= d
             T[leave] = prow
             if checked:
                 big = int(abs(T).max())
@@ -202,11 +232,12 @@ def solve_cover_lp(
     pi_int = T[m, :m].tolist()
     den = d * scale
     value = Fraction(_certify(cols, basis, xb, pi_int, d, wint), den)
-    basic = {edges[j]: Fraction(x, den) for j, x in zip(basis, xb) if j < nstruct}
-    return (
-        FractionalCover({verts[r]: Fraction(x, d) for r, x in enumerate(pi_int)}, value),
-        FractionalMatching({e: basic.get(e, _ZERO) for e in edges}, value),
-    )
+    matched = dict.fromkeys(edges, _ZERO)
+    for j, x in zip(basis, xb):
+        if j < nstruct and x:
+            matched[edges[j]] = Fraction(x, den)
+    cover = {v: Fraction(x, d) if x else _ZERO for v, x in zip(verts, pi_int)}
+    return FractionalCover(cover, value), FractionalMatching(matched, value)
 
 
 def _fits_int64(width: int, s: int, b2: int) -> bool:

@@ -73,6 +73,32 @@ def test_float_weights_rejected():
         solve_cover_lp(hg, [1.0, 1, 1])
 
 
+@pytest.mark.parametrize("shift", range(5))
+def test_first_faulty_covered_vertex_names_the_error(shift):
+    # faults on covered vertices 3, 5, 6, 8 and 9, each kind first in turn; vertex 0
+    # is covered by no hyperedge, so its float weight is never read
+    missing = (ValueError, "covered vertex {} has no weight")
+    floating = (TypeError, "weights must be exact rationals, not floats")
+    nonpositive = (ValueError, "covered vertex {} must have positive weight")
+    faults = [(None, missing), (1.5, floating), (0, nonpositive), (-2, nonpositive)]
+    faults.append((Fraction(-1, 3), nonpositive))
+    faults = faults[shift:] + faults[:shift]
+    hg = CopyHypergraph(10, ((1, 2, 3), (3, 4, 5), (5, 6, 7, 8), (8, 9)))
+    weights = {0: 2.5, **{v: Fraction(v, 2) for v in range(1, 10)}}
+    for v, (weight, _) in zip((3, 5, 6, 8, 9), faults):
+        if weight is None:
+            del weights[v]
+        else:
+            weights[v] = weight
+    kind, message = faults[0][1]
+    # the mapping in descending key order: the check follows vertex order, not the mapping's
+    with pytest.raises(kind, match=f"^{message.format(3)}$"):
+        solve_cover_lp(hg, dict(sorted(weights.items(), reverse=True)))
+    if faults[0][0] is not None:
+        with pytest.raises(kind, match=f"^{message.format(3)}$"):
+            solve_cover_lp(hg, [weights.get(v, 1) for v in range(9)])
+
+
 def test_size_one_hyperedge():
     hg = CopyHypergraph(2, ((0,), (0, 1)))
     cover, matching = solve_cover_lp(hg, (Fraction(1), Fraction(1)))
@@ -278,6 +304,50 @@ def test_final_state_matches_list_reference_with_large_weights(monkeypatch, bits
         assert _final_state(monkeypatch, hg, weights) == state
     if bits == 56:
         assert overflows >= 10
+
+
+def _spread_instance(rng):
+    # 12 covered vertices spread over 10 000 host ids
+    ids = sorted(rng.sample(range(10_000), 12))
+    edges = [tuple(rng.sample(ids, rng.randint(2, 4))) for _ in range(rng.randint(4, 16))]
+    weights = {v: Fraction(rng.randint(1, 9)) for v in ids}
+    return CopyHypergraph(10_000, tuple(edges)), weights
+
+
+def _lcm_instance(rng):
+    # pairwise coprime denominators, so the weights' lcm exceeds 2^40
+    n = rng.randint(10, 13)
+    dens = rng.sample((7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53), n)
+    weights = tuple(Fraction(rng.randint(1, 9), den) for den in dens)
+    return CopyHypergraph(n, random_hypergraph(rng, n, max_edges=30)), weights
+
+
+def _mixed_width_instance(rng):
+    n = rng.randint(6, 14)
+    edges = random_hypergraph(rng, n, max_edges=30, min_size=1, max_size=5)
+    return CopyHypergraph(n, edges), random_weights(rng, n)
+
+
+@pytest.mark.parametrize("make", (_mixed_width_instance, _spread_instance, _lcm_instance))
+def test_set_up_edges_match_list_reference(monkeypatch, make):
+    rng = random.Random(9500)
+    zeros = mixed = 0
+    for _ in range(25):
+        hg, weights = make(rng)
+        state, _ = list_simplex_state(hg, weights, lp._BLAND_AFTER)
+        assert _final_state(monkeypatch, hg, weights) == state
+        cover, matching = solve_cover_lp(hg, weights)
+        assert list(cover.values) == list(hg.covered_vertices())
+        assert list(matching.values) == list(hg.hyperedges)
+        for values in (cover.values, matching.values):
+            assert all(type(x) is Fraction for x in values.values())
+            zeros += sum(x == 0 for x in values.values())
+        mixed += len(set(map(len, hg.hyperedges))) > 1
+    assert zeros
+    if make is _mixed_width_instance:
+        assert mixed >= 20
+    if make is _lcm_instance:
+        assert lcm(*(w.denominator for w in weights)) >= 1 << 40
 
 
 def _highs_tau(hg, weights):
