@@ -11,7 +11,9 @@ alternates two moves driven by an exact LP solve: when the optimal cover
 is positive everywhere, drop the heaviest colour class and keep the rest;
 otherwise a zero-mass vertex pinpoints a hyperedge whose largest-mass
 vertex can be bought at a controlled price.  All bound inequalities are
-re-checked exactly at runtime on every invocation.
+re-checked exactly at runtime on every invocation.  The cover reads the
+caller's ``CopyHypergraph`` and narrows it with ``avoiding`` after each
+pick; every LP reads only the hyperedges it is handed.
 """
 
 from __future__ import annotations
@@ -99,15 +101,15 @@ class CoverRun:
 
 
 def cover_colored_hypergraph(
-    hyperedges: Sequence[tuple[int, ...]],
+    hg: CopyHypergraph,
     weights: Sequence[Fraction],
     coloring: Coloring,
     max_edge_size: int,
 ) -> CoverRun:
     """Select a cover of weight at most k(1 - 1/t) times the LP optimum.
 
-    ``max_edge_size`` is k; every hyperedge must have size between 2 and
-    k and be at least 2-coloured, and its vertices index
+    ``max_edge_size`` is k; every hyperedge of ``hg`` must have size
+    between 2 and k and be at least 2-coloured, and its vertices index
     ``coloring.colors``.  Weights must be positive on every covered
     vertex.  Raises InvalidColoringError on a monochromatic
     hyperedge and VerificationError if any of the exact bound checks
@@ -120,25 +122,24 @@ def cover_colored_hypergraph(
     if t < k:
         raise ValueError("palette must be at least the largest edge size")
     colors = coloring.colors
-    edges = sorted({tuple(sorted(set(e))) for e in hyperedges})
-    for e in edges:
+    for e in hg.hyperedges:
         if len(e) > k:
             raise ValueError(f"hyperedge {e} larger than the declared bound {k}")
         if len(e) < 2:
             raise ValueError(f"hyperedge {e} has fewer than two vertices")
-        if e[0] < 0 or e[-1] >= len(colors):
+        if e[-1] >= len(colors):
             raise ValueError(f"hyperedge {e} has a vertex with no colour")
         if len({colors[v] for v in e}) < 2:
             raise InvalidColoringError(f"monochromatic hyperedge {e}")
 
-    original = list(edges)
+    original = hg.hyperedges
     picked: list[int] = []
     steps: list[str] = []
     top_value: Fraction | None = None
     pending_bound: Fraction | None = None
 
-    while edges:
-        cover, matching = solve_cover_lp(CopyHypergraph(len(colors), tuple(edges)), weights)
+    while hg.hyperedges:
+        cover, matching = solve_cover_lp(hg, weights)
         if top_value is None:
             top_value = cover.value
         if pending_bound is not None and cover.value > pending_bound:
@@ -148,7 +149,7 @@ def cover_colored_hypergraph(
         zeros = [v for v in active if not cover.values[v]]
         if not zeros:
             w_active = sum((weights[v] for v in active), _ZERO)
-            paid = sum((matching.values[e] * len(e) for e in edges), _ZERO)
+            paid = sum((matching.values[e] * len(e) for e in hg.hyperedges), _ZERO)
             if w_active != paid:
                 raise VerificationError("tight-capacity identity failed")
             if w_active > k * cover.value:
@@ -165,14 +166,14 @@ def cover_colored_hypergraph(
             steps.append(f"full-support: keep colour {keep_color}, select {len(chosen)} vertices")
             break
         v = zeros[0]
-        edge = next(e for e in edges if v in e)
+        edge = next(e for e in hg.hyperedges if v in e)
         pick = max(edge, key=lambda u: (cover.values[u], -u))
         mass = cover.values[pick]
         if mass * (k - 1) < 1:
             raise VerificationError("largest cover mass on the edge is too small")
         picked.append(pick)
         pending_bound = cover.value - weights[pick] * mass
-        edges = [e for e in edges if pick not in e]
+        hg = hg.avoiding({pick})
         steps.append(f"zero-support at {v}: select {pick} from edge {','.join(map(str, edge))}")
 
     if pending_bound is not None and pending_bound < 0:

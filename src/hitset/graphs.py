@@ -26,7 +26,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat, starmap
-from typing import Callable, Iterable
+from typing import AbstractSet, Callable, Iterable
 
 import numpy as np
 
@@ -215,7 +215,8 @@ class CopyHypergraph:
 
     Hyperedges are deduplicated as sets and stored canonically: each as a
     sorted tuple, the whole list sorted lexicographically.  The order is
-    therefore independent of insertion order.
+    therefore independent of insertion order.  The solvers canonicalise
+    here only, and narrow a hypergraph with ``avoiding``.
     """
 
     n: int
@@ -234,6 +235,19 @@ class CopyHypergraph:
 
     def covered_vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for e in self.hyperedges for v in e}))
+
+    def avoiding(self, vertices: AbstractSet[int]) -> CopyHypergraph:
+        """The hyperedges sharing no vertex with ``vertices``, in their order, on the same n.
+
+        A subsequence of canonical hyperedges is canonical, so the view is
+        built without ``__post_init__``; with no vertices it is ``self``.
+        """
+        if not vertices:
+            return self
+        view = object.__new__(CopyHypergraph)
+        object.__setattr__(view, "n", self.n)
+        object.__setattr__(view, "hyperedges", tuple(filter(vertices.isdisjoint, self.hyperedges)))
+        return view
 
 
 # ASCII digits only: int() alone would also take '1_0' and non-ASCII digits

@@ -22,12 +22,13 @@ exact division), after which ``d = p``; it runs in place, on a copy of
 row ``l``.  When ``p == d``, rows with ``dir[i] == 0`` keep their values
 and are skipped.
 
-The set-up reads the hyperedges once.  Padded with -1 to the widest,
-they index one host-sized array that maps each covered vertex to its row
-and every other entry, -1 included, to column m + 1, so the padding of a
-short hyperedge adds zero wherever its columns are read: in pricing and
-in the entering direction.  ``_certify`` gets the same rows without the
-padding.
+The set-up reads the hyperedges once, and nothing else of the
+hypergraph: not its host size n.  Padded with -1 to the widest, they
+index one array, ending one past the largest covered id, that maps each
+covered vertex to its row and every other entry, -1 included, to column
+m + 1, so the padding of a short hyperedge adds zero wherever its
+columns are read: in pricing and in the entering direction.
+``_certify`` gets the same rows without the padding.
 
 ``T`` is held in int64 only while a bound proves that no intermediate
 reaches 2^63; beyond it, the same code runs on an object array of Python
@@ -117,14 +118,14 @@ def solve_cover_lp(
     if not edges:
         return FractionalCover({}, _ZERO), FractionalMatching({}, _ZERO)
     # E[t, j] is the t-th vertex of hyperedge j, or -1 past its end (C order, so pricing
-    # sums contiguous rows); index first marks the covered host vertices, then maps each
-    # to its row of T and every other entry, -1 included, to the zero column m + 1
+    # sums contiguous rows); index runs one slot past the largest covered id; it marks the
+    # covered vertices, then maps each to its row of T and all else, -1 included, to column m + 1
     lens = list(map(len, edges))
     width = max(lens)
     pad = (-1,) * width
     padded = chain.from_iterable([e + pad[k:] for e, k in zip(edges, lens)])
     E = np.fromiter(padded, np.intp, width * len(edges)).reshape(-1, width).T.copy()
-    index = np.zeros(hg.n + 1, np.intp)
+    index = np.zeros(int(E.max()) + 2, np.intp)
     index[E] = 1
     verts = index[:-1].nonzero()[0].tolist()
     m = len(verts)

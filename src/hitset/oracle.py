@@ -7,10 +7,12 @@ branch on the uncovered hyperedge with the fewest undecided vertices,
 bound with a greedy family of disjoint uncovered hyperedges, and start
 from the bound that taking every vertex of positive key gives.  It
 deliberately does not touch the LP module, so LP tests can compare
-against it as an independent reference.  A vertex cover is a
-unit-weight ``min_weight_cover`` of the graph's edges, so its answer is
-decoded and checked like every other.  ``verify_goodness`` reads both
-gadget properties, coverage and weight, off one copy hypergraph.
+against it as an independent reference; like the LP, it reads only the
+hyperedges of the ``CopyHypergraph`` it is given, already canonical.  A
+vertex cover is a unit-weight ``min_weight_cover`` of the graph's edges,
+its copies of K2, so its answer is decoded and checked like every other.
+``verify_goodness`` reads both gadget properties, coverage and weight,
+off one copy hypergraph.
 
 Tie-breaking is deterministic, and the search runs once.  Of N
 candidate vertices, vertex i has the key ``w(i)*L*2^N - 2^(N-1-i)``,
@@ -29,11 +31,10 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .copies import EnumerationBudget, build_copy_hypergraph
 from .errors import VerificationError
-from .graphs import Graph, Pattern, WeightedGraph, as_fraction
+from .graphs import CopyHypergraph, Graph, Pattern, WeightedGraph, as_fraction
 
 DEFAULT_CAP = 20
 _ZERO = Fraction(0)
@@ -76,23 +77,18 @@ def _least_cover(pending: list[int], excluded: int, current: int, w: list[int], 
     return best
 
 
-def min_weight_cover(
-    hyperedges: Sequence[Sequence[int]], weights
-) -> tuple[tuple[int, ...], Fraction]:
-    """Exact minimum-weight set hitting every hyperedge.
+def min_weight_cover(hg: CopyHypergraph, weights) -> tuple[tuple[int, ...], Fraction]:
+    """Exact minimum-weight set hitting every hyperedge of ``hg``.
 
     Only vertices occurring in some hyperedge are candidates.  Returns
-    the canonical optimal set and its weight.  An empty hyperedge or a
-    vertex id outside ``weights`` is a ``ValueError``, a float weight a
-    ``TypeError``.
+    the canonical optimal set and its weight.  A vertex id outside
+    ``weights`` or a negative weight is a ``ValueError``, a float weight
+    a ``TypeError``.
     """
-    canon = sorted({tuple(sorted(set(e))) for e in hyperedges})
-    if not canon:
+    universe = hg.covered_vertices()
+    if not universe:
         return (), _ZERO
-    if not canon[0]:  # the empty tuple sorts first
-        raise ValueError("empty hyperedge")
-    universe = sorted({v for e in canon for v in e})
-    if universe[0] < 0 or universe[-1] >= len(weights):
+    if universe[-1] >= len(weights):
         raise ValueError(f"vertex ids must lie in 0..{len(weights) - 1}")
     idx = {v: i for i, v in enumerate(universe)}
     w = [as_fraction(weights[v]) for v in universe]
@@ -103,7 +99,7 @@ def min_weight_cover(
     keys = [int(x * scale) - (1 << (n - 1 - i)) for i, x in enumerate(w)]
     # every zero-weight vertex is taken; the search covers the rest with positive keys
     free = sum(1 << i for i, x in enumerate(w) if not x)
-    masks = [m for m in (sum(1 << idx[v] for v in e) for e in canon) if not m & free]
+    masks = [m for m in (sum(1 << idx[v] for v in e) for e in hg.hyperedges) if not m & free]
     # every mask holds only positive keys, so taking all of those meets every
     # mask: one more than their sum bounds the search
     least = _least_cover(masks, 0, 0, keys, 1 + sum(x for x in keys if x > 0))
@@ -128,14 +124,14 @@ def exact_min_hitting_set(
     if g.n > cap:
         raise ValueError(f"instance has {g.n} vertices, oracle cap is {cap}")
     hg = build_copy_hypergraph(g, h, budget)
-    return min_weight_cover(hg.hyperedges, g.weights)
+    return min_weight_cover(hg, g.weights)
 
 
 def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     """Exact minimum vertex cover size: the least unit-weight cover of the edges."""
     if g.n > cap:
         raise ValueError(f"instance has {g.n} vertices, oracle cap is {cap}")
-    return len(min_weight_cover(g.sorted_edges(), [1] * g.n)[0])
+    return len(min_weight_cover(CopyHypergraph(g.n, g.sorted_edges()), [1] * g.n)[0])
 
 
 @functools.cache
@@ -150,4 +146,4 @@ def verify_goodness(good: WeightedGraph, h: Pattern) -> bool:
     """
     hg = build_copy_hypergraph(good, h)
     covered = len(hg.covered_vertices()) == good.n
-    return covered and min_weight_cover(hg.hyperedges, good.weights)[1] >= 1
+    return covered and min_weight_cover(hg, good.weights)[1] >= 1

@@ -9,20 +9,21 @@ a cut vertex the gadget is the branch gadget and the factor is k - 1/2;
 otherwise the gadget is the pattern itself with unit weights and the
 zero set of the subtraction is the whole answer.
 
-``solve`` keeps every search after its full copy enumeration on the
-vertices of the copies that can still matter, and checks its result
-against that enumeration; a failure there raises VerificationError and
-means a bug, never bad input.  ``solve_baseline`` enumerates no copies,
-so its subtraction searches the whole host: its zero set hits every
-copy because the subtraction stops only when no copy lies on positive
-vertices.
+``solve`` puts its full copy enumeration into one ``CopyHypergraph``,
+keeps every later search on the vertices of the copies that can still
+matter, read off views from ``avoiding``, and checks its result against
+that enumeration; a failure there raises VerificationError and means a
+bug, never bad input.  Each LP reads only the hyperedges it is handed.
+``solve_baseline`` enumerates no copies, so its subtraction searches the
+whole host: its zero set hits every copy because the subtraction stops
+only when no copy lies on positive vertices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .coloring import Coloring, color_digraph, cover_colored_hypergraph
 from .copies import (
@@ -86,17 +87,17 @@ def _route(
     g: WeightedGraph,
     h: Pattern,
     cls: PatternClass,
-    hyperedges: Sequence[tuple[int, ...]] | None,
+    hg: CopyHypergraph | None,
     budget: EnumerationBudget | None,
 ) -> Solution:
     """Subtract one certified gadget, cover the residual, certify.
 
-    The cover step runs only when ``cls`` has a decomposition.
-    ``hyperedges`` are the vertex sets of the copies of ``h`` in ``g``
-    that the subtraction, the rooted searches, the cover step, the
-    certificate LP and the final check read; ``None`` means they were
-    not enumerated, and then the subtraction searches the whole host and
-    the other four have nothing to do.
+    The cover step runs only when ``cls`` has a decomposition.  ``hg``
+    holds the copies of ``h`` in ``g``; the subtraction, the rooted
+    searches, the cover step, the certificate LP and the final check read
+    it or a view from ``hg.avoiding``.  ``None`` means the copies were not
+    enumerated, and then the subtraction searches the whole host and the
+    other four have nothing to do.
     """
     k, d = h.k, cls.decomposition
     good = construct_good_graph(h, d)
@@ -106,24 +107,24 @@ def _route(
     # certificate: fractional cover value of the original instance; edges
     # touching a zero-weight vertex are covered for free
     zero = {v for v, x in enumerate(g.weights) if not x}
-    lp_edges = tuple(e for e in hyperedges or () if zero.isdisjoint(e))
+    lp_hg = None if hg is None else hg.avoiding(zero)
     # every gadget vertex lies on a pattern copy (``verify_goodness``), so a gadget
-    # embedding on positive vertices stays on the vertices of the copies in ``lp_edges``
-    allowed = None if hyperedges is None else {v for e in lp_edges for v in e}
+    # embedding on positive vertices stays on the vertices of the copies in ``lp_hg``
+    allowed = None if lp_hg is None else lp_hg.covered_vertices()
     trace = decompose_weights(g, good, budget, allowed)
     tau_star = Fraction(0)
-    if lp_edges:
-        tau_star = solve_cover_lp(CopyHypergraph(g.n, lp_edges), g.weights)[0].value
+    if lp_hg is not None and lp_hg.hyperedges:
+        tau_star = solve_cover_lp(lp_hg, g.weights)[0].value
 
     chosen = set(trace.zero_set)
     detail = SolveDetail(trace, tau_star)
     if d is not None:
         positive = frozenset(range(g.n)) - trace.zero_set
-        residual = tuple(e for e in hyperedges if positive.issuperset(e))
+        residual = hg.avoiding(trace.zero_set)
         # one chosen copy per central vertex; its other vertices become arcs.
         # A rooted copy inside ``positive`` is a residual copy, so only their
         # vertices can be central, and its search need look nowhere else.
-        central = frozenset(v for e in residual for v in e)
+        central = frozenset(residual.covered_vertices())
         arcs: set[tuple[int, int]] = set()
         for u in sorted(central):
             emb = find_rooted_copy(g.graph, h.graph, d.root, u, allowed=central)
@@ -136,7 +137,7 @@ def _route(
             trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps
         )
 
-    if any(chosen.isdisjoint(e) for e in hyperedges or ()):
+    if hg is not None and any(chosen.isdisjoint(e) for e in hg.hyperedges):
         raise VerificationError("solution misses a pattern copy")
     hitting = tuple(sorted(chosen))
     warning = None
@@ -174,8 +175,8 @@ def solve(
     """
     if budget is None:
         budget = EnumerationBudget()
-    hyperedges = tuple(enumerate_copies(g.graph, h, budget))
-    return _route(g, h, classify_pattern(h), hyperedges, budget)
+    hg = CopyHypergraph(g.n, enumerate_copies(g.graph, h, budget))
+    return _route(g, h, classify_pattern(h), hg, budget)
 
 
 def verify_solution(g: Graph, h: Pattern, s: Iterable[int]) -> bool:

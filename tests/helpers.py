@@ -572,5 +572,6 @@ def rooted_everywhere_cover(g: WeightedGraph, h: Pattern, trace: DecompositionTr
             arcs.update((u, w) for w in emb if w != u)
     coloring = Coloring(color_digraph(g.n, arcs, h.k - 1), 2 * h.k)
     residual = tuple(e for e in enumerate_copies(g.graph, h) if positive.issuperset(e))
-    run = cover_colored_hypergraph(residual, trace.final_weights, coloring, h.k)
+    hg = CopyHypergraph(g.n, residual)
+    run = cover_colored_hypergraph(hg, trace.final_weights, coloring, h.k)
     return tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run

@@ -129,8 +129,9 @@ def test_criterion_2_color_cover_bound():
                 break
         if colors is None:
             colors = tuple(v % t for v in range(n))
-        run = cover_colored_hypergraph(edges, weights, Coloring(colors, t), k)
-        cover, _ = solve_cover_lp(CopyHypergraph(n, edges), weights)
+        hg = CopyHypergraph(n, edges)
+        run = cover_colored_hypergraph(hg, weights, Coloring(colors, t), k)
+        cover, _ = solve_cover_lp(hg, weights)
         total = sum((weights[v] for v in run.selected), Fraction(0))
         assert total * t <= k * (t - 1) * cover.value
         assert all(set(e) & set(run.selected) for e in edges)

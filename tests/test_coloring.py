@@ -105,8 +105,8 @@ def test_matches_rescanning_reference():
 
 def _cover_copies(g: WeightedGraph, coloring: Coloring) -> tuple[int, ...]:
     """Colour-guided cover of every P3 copy of ``g``."""
-    hyperedges = build_copy_hypergraph(g, P3).hyperedges
-    return cover_colored_hypergraph(hyperedges, g.weights, coloring, P3.k).selected
+    hg = build_copy_hypergraph(g, P3)
+    return cover_colored_hypergraph(hg, g.weights, coloring, P3.k).selected
 
 
 def test_color_simp_triangle_host():
@@ -139,11 +139,10 @@ def test_color_simp_rejects_monochromatic():
 
 
 def test_color_simp_rejects_negative_vertex():
+    # a negative id is rejected by CopyHypergraph (test_hypergraph_validation)
     coloring = Coloring((0, 1, 2), 6)
     with pytest.raises(ValueError, match="has a vertex with no colour"):
-        cover_colored_hypergraph([(-1, 0)], (Fraction(1),) * 3, coloring, 3)
-    with pytest.raises(ValueError, match="has a vertex with no colour"):
-        cover_colored_hypergraph([(0, 3)], (Fraction(1),) * 3, coloring, 3)
+        cover_colored_hypergraph(CopyHypergraph(4, [(0, 3)]), (Fraction(1),) * 3, coloring, 3)
 
 
 def test_color_simp_rejects_small_palette():
@@ -159,11 +158,11 @@ def test_color_simp_rejects_small_palette():
 def test_color_simp_rejects_bad_edge_sizes():
     ones = (Fraction(1),) * 3
     with pytest.raises(ValueError, match="at least two vertices"):
-        cover_colored_hypergraph([(0, 1)], ones, Coloring((0, 1, 2), 3), 1)
+        cover_colored_hypergraph(CopyHypergraph(3, [(0, 1)]), ones, Coloring((0, 1, 2), 3), 1)
     with pytest.raises(ValueError, match=r"hyperedge \(0, 1, 2\) larger than the declared bound 2"):
-        cover_colored_hypergraph([(0, 1, 2)], ones, Coloring((0, 1, 2), 3), 2)
+        cover_colored_hypergraph(CopyHypergraph(3, [(0, 1, 2)]), ones, Coloring((0, 1, 2), 3), 2)
     with pytest.raises(ValueError, match=r"hyperedge \(1,\) has fewer than two vertices"):
-        cover_colored_hypergraph([(1, 1)], ones, Coloring((0, 1, 2), 3), 2)
+        cover_colored_hypergraph(CopyHypergraph(3, [(1, 1)]), ones, Coloring((0, 1, 2), 3), 2)
 
 
 def test_color_simp_rejects_zero_weights():
@@ -174,7 +173,7 @@ def test_color_simp_rejects_zero_weights():
 
 def test_color_simp_rejects_missing_weights():
     with pytest.raises(ValueError, match="covered vertex 2 has no weight"):
-        cover_colored_hypergraph([(0, 2)], [1, 1], Coloring((0, 1, 1), 4), 2)
+        cover_colored_hypergraph(CopyHypergraph(3, [(0, 2)]), [1, 1], Coloring((0, 1, 1), 4), 2)
 
 
 def _valid_coloring(rng: random.Random, edges, n: int, t: int) -> Coloring:
@@ -194,8 +193,9 @@ def test_cover_bound_on_synthetic_hypergraphs(seed):
     k = max(len(e) for e in edges)
     t = max(k, n)
     coloring = _valid_coloring(rng, edges, n, t)
-    run = cover_colored_hypergraph(edges, weights, coloring, k)
-    cover, _ = solve_cover_lp(CopyHypergraph(n, edges), weights)
+    hg = CopyHypergraph(n, edges)
+    run = cover_colored_hypergraph(hg, weights, coloring, k)
+    cover, _ = solve_cover_lp(hg, weights)
     total = sum((weights[v] for v in run.selected), Fraction(0))
     assert total * t <= k * (t - 1) * cover.value
     assert all(set(e) & set(run.selected) for e in edges)

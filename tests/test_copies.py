@@ -9,6 +9,7 @@ from networkx.algorithms.isomorphism import GraphMatcher
 
 from hitset import (
     BudgetExceededError,
+    CopyHypergraph,
     EnumerationBudget,
     Graph,
     Pattern,
@@ -98,7 +99,7 @@ def test_oracle_search_state_freed_without_cycle_collector():
     gc.disable()
     try:
         assert exact_min_hitting_set(wg, P3)[1] > 0
-        assert min_weight_cover([(0, 1, 2), (2, 3), (3, 4, 5)], wg.weights)[0]
+        assert min_weight_cover(CopyHypergraph(6, [(0, 1, 2), (2, 3), (3, 4, 5)]), wg.weights)[0]
         assert exact_min_vertex_cover(g) > 0
         assert gc.collect() == 0  # the branch-and-bound state was freed by reference counting
     finally:

@@ -405,5 +405,24 @@ def test_hypergraph_validation():
         CopyHypergraph(3, ((),))
     with pytest.raises(ValueError):
         CopyHypergraph(3, ((0, 7),))
+    with pytest.raises(ValueError):
+        CopyHypergraph(3, ((-1, 0),))
     assert CopyHypergraph(4, ((1, 0), (0, 1))).hyperedges == ((0, 1),)
     assert CopyHypergraph(4, ((3, 1),)).covered_vertices() == (1, 3)
+
+
+def test_hypergraph_avoiding_matches_a_fresh_build():
+    rng = random.Random(29)
+    for _ in range(300):
+        n = rng.randint(1, 12)
+        sizes = [rng.randint(1, min(4, n)) for _ in range(rng.randint(0, 15))]
+        edges = [tuple(rng.sample(range(n), size)) for size in sizes]
+        hg = CopyHypergraph(n, edges)
+        covered = set(hg.covered_vertices())
+        assert hg.avoiding(set()) is hg
+        assert hg.avoiding(covered) == CopyHypergraph(n)
+        for _ in range(4):
+            s = set(rng.sample(range(n), rng.randint(0, n)))
+            view = hg.avoiding(s)
+            assert view == CopyHypergraph(n, [e for e in hg.hyperedges if s.isdisjoint(e)])
+            assert type(view) is CopyHypergraph

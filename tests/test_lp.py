@@ -1,5 +1,6 @@
 import hashlib
 import random
+import tracemalloc
 from fractions import Fraction
 from math import lcm
 
@@ -140,7 +141,7 @@ def test_fractional_at_most_integral(seed):
     weights = random_weights(rng, n)
     hg = CopyHypergraph(n, edges)
     cover, _ = solve_cover_lp(hg, weights)
-    _, integral = min_weight_cover(hg.hyperedges, weights)
+    _, integral = min_weight_cover(hg, weights)
     assert cover.value <= integral
 
 
@@ -422,3 +423,18 @@ def test_weights_with_large_denominator_lcm():
     assert cover.value == matching.value == sum(weights)
     assert check_complementary_slackness(cover, matching, hg, weights)
     check_optimal_pair(hg, weights, cover, matching)
+
+
+def test_lp_memory_does_not_grow_with_host_size():
+    # the set-up sizes its index array by the largest covered id, not by n
+    hg = CopyHypergraph(10**6, ((0, 1), (1, 2), (0, 2)))
+    weights = (Fraction(1),) * 3
+    solve_cover_lp(hg, weights)  # warm-up
+    tracemalloc.start()
+    try:
+        cover, _ = solve_cover_lp(hg, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cover.value == Fraction(3, 2)
+    assert peak < 1 << 20

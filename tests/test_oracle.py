@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from hitset import (
+    CopyHypergraph,
     Graph,
     Pattern,
     VerificationError,
@@ -115,15 +116,16 @@ def test_min_weight_cover_zero_weights():
     # zero-weight vertices are all taken, and they hit both edges for free
     edges = ((0, 1), (1, 2))
     weights = (Fraction(0), Fraction(5), Fraction(0))
-    assert min_weight_cover(edges, weights) == ((0, 2), Fraction(0))
+    assert min_weight_cover(CopyHypergraph(3, edges), weights) == ((0, 2), Fraction(0))
 
 
 def test_min_weight_cover_search_bound_with_zero_weights():
     # zero-weight vertices have negative keys, so the key sum plus one can lie
     # below the optimum (it does for the first input); the search bound
     # counts only the positive keys
-    assert min_weight_cover([(1,), (0,)], [0, 1]) == ((0, 1), 1)
-    assert min_weight_cover([(1, 2), (0, 3), (2,)], [0, 1, 3, 0]) == ((0, 2, 3), 3)
+    assert min_weight_cover(CopyHypergraph(2, [(1,), (0,)]), [0, 1]) == ((0, 1), 1)
+    hg = CopyHypergraph(4, [(1, 2), (0, 3), (2,)])
+    assert min_weight_cover(hg, [0, 1, 3, 0]) == ((0, 2, 3), 3)
 
 
 def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
@@ -140,7 +142,7 @@ def test_min_weight_cover_failed_rebuild_raises(monkeypatch):
 
     monkeypatch.setattr(oracle, "_least_cover", off_by_one)
     with pytest.raises(VerificationError, match="optimal weight"):
-        min_weight_cover(((0, 1), (1, 2)), (Fraction(1),) * 3)
+        min_weight_cover(CopyHypergraph(3, ((0, 1), (1, 2))), (Fraction(1),) * 3)
     # the vertex cover of P3 is one more unit-weight cover, checked the same way
     with pytest.raises(VerificationError, match="optimal weight"):
         exact_min_vertex_cover(Graph(3, [(0, 1), (1, 2)]))
@@ -153,31 +155,33 @@ def test_min_weight_cover_least_weight_gap(den):
     gap = Fraction(1, den)
     a = 1 + gap
     for n in range(3, 14):
-        edges = tuple((i, n - 1) for i in range(n - 1))
+        hg = CopyHypergraph(n, tuple((i, n - 1) for i in range(n - 1)))
         lighter = (a,) * (n - 1) + ((n - 1) * a - gap,)
-        assert min_weight_cover(edges, lighter) == ((n - 1,), (n - 1) * a - gap)
+        assert min_weight_cover(hg, lighter) == ((n - 1,), (n - 1) * a - gap)
         tied = (a,) * (n - 1) + ((n - 1) * a,)
-        assert min_weight_cover(edges, tied) == (tuple(range(n - 1)), (n - 1) * a)
+        assert min_weight_cover(hg, tied) == (tuple(range(n - 1)), (n - 1) * a)
 
 
 def test_min_weight_cover_rejects_empty_hyperedge():
+    # the hypergraph's constructor rejects it before the oracle runs
     with pytest.raises(ValueError, match="empty hyperedge"):
-        min_weight_cover(((0, 1), ()), (Fraction(1),) * 2)
+        min_weight_cover(CopyHypergraph(2, ((0, 1), ())), (Fraction(1),) * 2)
 
 
 def test_min_weight_cover_rejects_float_weights():
     with pytest.raises(TypeError, match="floats"):
-        min_weight_cover(((0, 1),), [0.5, 0.5])
+        min_weight_cover(CopyHypergraph(2, ((0, 1),)), [0.5, 0.5])
     with pytest.raises(ValueError, match="weights must be nonnegative"):
-        min_weight_cover(((0, 1),), [1, Fraction(-1, 2)])
+        min_weight_cover(CopyHypergraph(2, ((0, 1),)), [1, Fraction(-1, 2)])
 
 
 def test_min_weight_cover_rejects_vertex_ids_outside_weights():
-    # a negative id would read a weight from the end, a large one past it
+    # a negative id would read a weight from the end, so the hypergraph's
+    # constructor rejects it; a large one would read past it
+    with pytest.raises(ValueError, match="out of range"):
+        min_weight_cover(CopyHypergraph(2, [(-1,)]), [5, 7])
     with pytest.raises(ValueError, match="vertex ids"):
-        min_weight_cover([(-1,)], [5, 7])
-    with pytest.raises(ValueError, match="vertex ids"):
-        min_weight_cover([(0, 5)], [1, 1])
+        min_weight_cover(CopyHypergraph(6, [(0, 5)]), [1, 1])
 
 
 def _least_optimal_cover(edges, weights):
@@ -213,14 +217,16 @@ def test_min_weight_cover_least_optimal_set():
             weights = random_weights(rng, n, max_den=2)
         else:
             weights = tuple(Fraction(rng.randint(1, 3)) for _ in range(n))
-        assert min_weight_cover(edges, weights) == _least_optimal_cover(edges, weights)
+        hg = CopyHypergraph(n, edges)
+        assert min_weight_cover(hg, weights) == _least_optimal_cover(edges, weights)
 
 
 def test_min_weight_cover_deterministic():
     rng = random.Random(9)
     edges = random_hypergraph(rng, 9, 14)
     weights = random_weights(rng, 9)
-    assert min_weight_cover(edges, weights) == min_weight_cover(edges, weights)
+    hg = CopyHypergraph(9, edges)
+    assert min_weight_cover(hg, weights) == min_weight_cover(hg, weights)
 
 
 def test_star_pattern_oracle():

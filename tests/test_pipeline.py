@@ -462,3 +462,23 @@ def test_copy_cover_certified_once_per_gadget():
     solve_baseline(g, h)
     after = verify_goodness.cache_info()
     assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+
+
+def test_one_canonicalisation_per_solve(monkeypatch):
+    # the solve's one copy hypergraph is canonicalised once; the certificate
+    # LP, the residual and every cover-loop LP read views from ``avoiding``
+    host = random_graph(640, 0.0125, 1)
+    g = WeightedGraph(host, tuple(Fraction(1 + v % 9) for v in range(host.n)))
+    paw = Pattern(DIFFERENTIAL_PATTERNS["paw"])
+    solve(g, paw)  # warm: the gadget certificate is cached
+    canonicalise = CopyHypergraph.__post_init__
+    calls = []
+
+    def counted(hg):
+        calls.append(hg.n)
+        canonicalise(hg)
+
+    monkeypatch.setattr(CopyHypergraph, "__post_init__", counted)
+    sol = solve(g, paw)
+    assert len(sol.detail.cover_steps) > 1
+    assert calls == [host.n]
