@@ -68,7 +68,6 @@ from .pipeline import (
     SolveDetail,
     guaranteed_factor,
     solve,
-    solve_baseline,
     verify_solution,
 )
 

@@ -14,8 +14,8 @@ dense range 0..n-1.
 the header, edge lines, then weight lines, single spaces, ``\n`` line
 ends, unsigned digits) in bulk, and any other text line by line.  Both
 give the same graphs; every error comes from the line-by-line checker.
-``Graph`` and ``WeightedGraph`` check their input in bulk too, and walk
-it one item at a time only to name its first fault.
+``Graph`` checks each edge once, in input order; ``WeightedGraph``
+checks its weights in bulk.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, starmap
+from itertools import repeat
 from typing import AbstractSet, Callable, Iterable
 
 import numpy as np
@@ -33,7 +33,6 @@ import numpy as np
 from .errors import ParseError
 
 Edge = tuple[int, int]
-_LOW, _HIGH = operator.itemgetter(0), operator.itemgetter(1)
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -53,8 +52,8 @@ def as_fraction(value) -> Fraction:
 class Graph:
     """Simple undirected graph on vertices 0..n-1.
 
-    The edges are normalised and checked in bulk; only a faulty input is
-    walked edge by edge, so the error names its first fault in input order.
+    Each edge is checked and normalised in input order, so an error names
+    the first fault.
     """
 
     n: int
@@ -63,22 +62,15 @@ class Graph:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("vertex count must be nonnegative")
-        edges = self.edges
-        if iter(edges) is edges:  # a one-shot iterator: keep it for the fault walk
-            edges = tuple(edges)
-        pairs = [(u, v) if u < v else (v, u) for u, v in edges]
-        if pairs and (
-            min(map(_LOW, pairs)) < 0
-            or max(map(_HIGH, pairs)) >= self.n
-            or not all(starmap(operator.lt, pairs))
-        ):
-            for u, v in edges:
-                if u == v:
-                    raise ValueError(f"self-loop at vertex {u}")
-                if not (0 <= u < self.n and 0 <= v < self.n):
-                    raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+        normal = set()
+        for u, v in self.edges:
+            if u == v:
+                raise ValueError(f"self-loop at vertex {u}")
+            if not (0 <= u < self.n and 0 <= v < self.n):
+                raise ValueError(f"edge ({u}, {v}) out of range for n={self.n}")
+            normal.add(normalize_edge(u, v))
         # through a set, so the frozenset table is sized for the edges, not grown
-        object.__setattr__(self, "edges", frozenset(set(pairs)))
+        object.__setattr__(self, "edges", frozenset(normal))
 
     @property
     def m(self) -> int:
@@ -331,7 +323,7 @@ def _read_lines(
 
 def _parse_lines(text: str | bytes) -> WeightedGraph:
     """Check instance text line by line; every ``ParseError`` of ``parse_graph`` comes from here."""
-    edges: dict[Edge, int] = {}
+    edges: set[Edge] = set()
     weights: dict[int, Fraction] = {}
 
     def on_line(lineno: int, fields: list[str], n: int) -> None:
@@ -348,7 +340,7 @@ def _parse_lines(text: str | bytes) -> WeightedGraph:
             key = normalize_edge(u, v)
             if key in edges:
                 raise ParseError(lineno, "duplicate-edge", f"duplicate edge {key[0]} {key[1]}")
-            edges[key] = lineno
+            edges.add(key)
         else:
             if len(fields) != 3:
                 raise ParseError(lineno, "malformed", "weight line must be 'w <u> <value>'")
@@ -362,7 +354,7 @@ def _parse_lines(text: str | bytes) -> WeightedGraph:
     n, m, header_line = _read_lines(text, {"e": "edge", "w": "weight"}, on_line)
     if len(edges) != m:
         raise ParseError(header_line, "malformed", f"header declares {m} edges, found {len(edges)}")
-    graph = Graph(n, frozenset(edges))
+    graph = Graph(n, edges)
     one = Fraction(1)  # shared default: n vertices cost n references, not n objects
     ws = tuple(weights.get(v, one) for v in range(n))
     return WeightedGraph(graph, ws)

@@ -14,9 +14,6 @@ keeps every later search on the vertices of the copies that can still
 matter, read off views from ``avoiding``, and checks its result against
 that enumeration; a failure there raises VerificationError and means a
 bug, never bad input.  Each LP reads only the hyperedges it is handed.
-``solve_baseline`` enumerates no copies, so its subtraction searches the
-whole host: its zero set hits every copy because the subtraction stops
-only when no copy lies on positive vertices.
 """
 
 from __future__ import annotations
@@ -39,7 +36,6 @@ from .localratio import DecompositionTrace, decompose_weights
 from .lp import solve_cover_lp
 from .oracle import verify_goodness
 from .patterns import (
-    PatternClass,
     RootedDecomposition,
     UNKNOWN,
     classify_pattern,
@@ -83,22 +79,23 @@ def guaranteed_factor(h: Pattern, decomposition: RootedDecomposition | None) -> 
     return Fraction(2 * h.k - 1, 2)
 
 
-def _route(
-    g: WeightedGraph,
-    h: Pattern,
-    cls: PatternClass,
-    hg: CopyHypergraph | None,
-    budget: EnumerationBudget | None,
+def solve(
+    g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> Solution:
-    """Subtract one certified gadget, cover the residual, certify.
+    """Classify the pattern, subtract one certified gadget, cover the residual, certify.
 
-    The cover step runs only when ``cls`` has a decomposition.  ``hg``
-    holds the copies of ``h`` in ``g``; the subtraction, the rooted
-    searches, the cover step, the certificate LP and the final check read
-    it or a view from ``hg.avoiding``.  ``None`` means the copies were not
-    enumerated, and then the subtraction searches the whole host and the
-    other four have nothing to do.
+    The cover step runs only when the pattern has a decomposition.  The
+    subtraction, the rooted searches, the cover step, the certificate LP
+    and the final check read the copy hypergraph or a view from
+    ``avoiding``.  The reported lower bound is the larger of the
+    fractional cover value of the original copy hypergraph and the bound
+    certified by the subtraction trace; both are valid lower bounds on
+    the optimum.
     """
+    if budget is None:
+        budget = EnumerationBudget()
+    hg = CopyHypergraph(g.n, enumerate_copies(g.graph, h, budget))
+    cls = classify_pattern(h)
     k, d = h.k, cls.decomposition
     good = construct_good_graph(h, d)
     if not verify_goodness(good, h):
@@ -107,14 +104,11 @@ def _route(
     # certificate: fractional cover value of the original instance; edges
     # touching a zero-weight vertex are covered for free
     zero = {v for v, x in enumerate(g.weights) if not x}
-    lp_hg = None if hg is None else hg.avoiding(zero)
+    lp_hg = hg.avoiding(zero)
     # every gadget vertex lies on a pattern copy (``verify_goodness``), so a gadget
     # embedding on positive vertices stays on the vertices of the copies in ``lp_hg``
-    allowed = None if lp_hg is None else lp_hg.covered_vertices()
-    trace = decompose_weights(g, good, budget, allowed)
-    tau_star = Fraction(0)
-    if lp_hg is not None and lp_hg.hyperedges:
-        tau_star = solve_cover_lp(lp_hg, g.weights)[0].value
+    trace = decompose_weights(g, good, budget, lp_hg.covered_vertices())
+    tau_star = solve_cover_lp(lp_hg, g.weights)[0].value
 
     chosen = set(trace.zero_set)
     detail = SolveDetail(trace, tau_star)
@@ -137,7 +131,7 @@ def _route(
             trace, tau_star, tuple(sorted(positive)), coloring, tuple(sorted(arcs)), run.steps
         )
 
-    if hg is not None and any(chosen.isdisjoint(e) for e in hg.hyperedges):
+    if any(chosen.isdisjoint(e) for e in hg.hyperedges):
         raise VerificationError("solution misses a pattern copy")
     hitting = tuple(sorted(chosen))
     warning = None
@@ -155,28 +149,6 @@ def _route(
         warning=warning,
         detail=detail,
     )
-
-
-def solve_baseline(
-    g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
-) -> Solution:
-    """Plain k-factor route: the gadget is the pattern with unit weights."""
-    return _route(g, h, PatternClass("baseline"), None, budget)
-
-
-def solve(
-    g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
-) -> Solution:
-    """Classify the pattern, solve on its route and certify the result.
-
-    The reported lower bound is the larger of the fractional cover value
-    of the original copy hypergraph and the bound certified by the
-    subtraction trace; both are valid lower bounds on the optimum.
-    """
-    if budget is None:
-        budget = EnumerationBudget()
-    hg = CopyHypergraph(g.n, enumerate_copies(g.graph, h, budget))
-    return _route(g, h, classify_pattern(h), hg, budget)
 
 
 def verify_solution(g: Graph, h: Pattern, s: Iterable[int]) -> bool:

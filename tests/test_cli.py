@@ -9,12 +9,23 @@ from pathlib import Path
 import pytest
 
 import hitset
-from hitset import Graph, ParseError, WeightedGraph, random_graph, serialize_graph, unit_weights
+from hitset import (
+    Graph,
+    ParseError,
+    Pattern,
+    WeightedGraph,
+    parse_graph,
+    random_graph,
+    serialize_graph,
+    unit_weights,
+    verify_solution,
+)
 from hitset.cli import main, parse_solution_document
 from helpers import (
     complete_graph,
     hub_branches_pattern,
     path_graph,
+    restarting_decomposition,
     star_graph,
     too_many_digits,
     triangle_square_share_vertex,
@@ -479,6 +490,34 @@ def test_bench_count_zero_prints_header_only(files, capsys):
     _, _, p3, _ = files
     code, out, err = run(capsys, "bench", "--pattern", p3, "--count", 0)
     assert (code, out, err) == (0, P3_BENCH.splitlines(keepends=True)[0], "")
+
+
+@pytest.mark.parametrize(
+    "budget, phase",
+    [(2, "weight decomposition"), (3, "copy enumeration")],
+)
+def test_bench_budget_messages(files, capsys, budget, phase):
+    # the first row's baseline subtraction takes 3 steps; its solve then enumerates more copies
+    _, _, p3, _ = files
+    code, out, err = run(capsys, "bench", "--pattern", p3, "--count", 3, "--budget", budget)
+    assert (code, out) == (3, "")
+    assert err == f"error: {phase} exceeded the budget of {budget}\n"
+
+
+@pytest.mark.parametrize("text", [P3_TEXT, BOWTIE_TEXT])
+@pytest.mark.parametrize("seed", range(3))
+def test_bench_baseline_is_the_unit_pattern_zero_set(tmp_path, capsys, text, seed):
+    pattern = tmp_path / "pattern.graph"
+    pattern.write_text(text)
+    h = Pattern(parse_graph(text).graph)
+    argv = ["bench", "--pattern", pattern, "--count", 4, "--n", 12, "--p", 0.4, "--seed", seed]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    for i, row in enumerate(out.splitlines()[1:]):
+        g = unit_weights(random_graph(12, 0.4, seed + i))
+        zero = restarting_decomposition(g, unit_weights(h.graph)).zero_set
+        assert row.split("\t")[3] == str(g.total(zero))
+        assert verify_solution(g.graph, h, zero)
 
 
 def test_exact_budget_message(files, star, capsys):

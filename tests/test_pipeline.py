@@ -24,10 +24,10 @@ from hitset import (
     exact_min_hitting_set,
     find_rooted_copy,
     gadget_edge_glue,
+    guaranteed_factor,
     oracle,
     pipeline,
     solve,
-    solve_baseline,
     solve_cover_lp,
     unit_weights,
     verify_solution,
@@ -114,27 +114,31 @@ def test_semi_symmetric_k3_host_details():
     assert len(set(sol.detail.coloring.colors)) <= 5
 
 
+# the trivial k-factor baseline: the zero set of subtracting the unit-weight pattern
+
+
 def test_baseline_k3_on_k3():
-    sol = solve_baseline(unit_weights(complete_graph(3)), K3)
-    assert sol.hitting_set == (0, 1, 2)
-    assert sol.weight == 3
-    assert sol.lower_bound == 1
-    assert sol.guaranteed_factor == 3
+    g = unit_weights(complete_graph(3))
+    trace = decompose_weights(g, unit_weights(K3.graph))
+    assert trace.zero_set == {0, 1, 2}
+    assert g.total(trace.zero_set) == 3
+    assert trace.dual_bound() == 1
+    assert guaranteed_factor(K3, None) == 3
 
 
 def test_baseline_two_disjoint_triangles():
     g = unit_weights(Graph(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)]))
-    sol = solve_baseline(g, K3)
-    assert sol.weight == 6
-    assert sol.lower_bound == 2
-    assert sol.detail.tau_star == 0  # no copies, so no certificate LP
+    trace = decompose_weights(g, unit_weights(K3.graph))
+    assert g.total(trace.zero_set) == 6
+    assert trace.dual_bound() == 2
     _, opt = exact_min_hitting_set(g, K3)
     assert opt == 2
 
 
 def test_baseline_pattern_free():
-    sol = solve_baseline(unit_weights(Graph(3, [(0, 1)])), K3)
-    assert sol.hitting_set == () and sol.weight == 0
+    g = unit_weights(Graph(3, [(0, 1)]))
+    trace = decompose_weights(g, unit_weights(K3.graph))
+    assert trace.zero_set == frozenset() and g.total(trace.zero_set) == 0
 
 
 @pytest.mark.parametrize("seed", range(10))
@@ -436,7 +440,7 @@ def test_baseline_trace_is_the_whole_host_decomposition(name):
     h = Pattern(DIFFERENTIAL_PATTERNS[name])
     for g in sparse_weighted_hosts(name):
         expected = restarting_decomposition(g, unit_weights(h.graph))
-        assert solve_baseline(g, h).detail.trace == expected
+        assert decompose_weights(g, unit_weights(h.graph)) == expected
 
 
 def test_gadget_vertex_on_no_copy_fails_the_solve(monkeypatch):
@@ -456,12 +460,10 @@ def test_copy_cover_certified_once_per_gadget():
     h = Pattern(DIFFERENTIAL_PATTERNS["bowtie"])
     g = unit_weights(random_graph(30, 0.3, 5))
     solve(g, h)
-    solve_baseline(g, h)
     before = verify_goodness.cache_info()
     solve(g, h)
-    solve_baseline(g, h)
     after = verify_goodness.cache_info()
-    assert (after.misses, after.hits) == (before.misses, before.hits + 2)
+    assert (after.misses, after.hits) == (before.misses, before.hits + 1)
 
 
 def test_one_canonicalisation_per_solve(monkeypatch):
