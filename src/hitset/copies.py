@@ -40,7 +40,7 @@ class EnumerationBudget:
     """Caps the units of work (distinct copies, subtraction steps) a run may charge."""
 
     max_copies: int = DEFAULT_MAX_COPIES
-    used: int = field(default=0, repr=False)
+    used: int = field(default=0, init=False, repr=False)
 
     def charge(self, phase: str) -> None:
         """Account for one more unit; raise, naming ``phase``, once the cap is hit."""
@@ -255,8 +255,9 @@ def enumerate_copies(
 ) -> list[tuple[int, ...]]:
     """Distinct copy vertex sets, each a sorted tuple, sorted lexicographically.
 
-    Each new vertex set is charged to the budget, which raises
-    ``BudgetExceededError`` once it runs out.
+    That is ``CopyHypergraph``'s canonical form, which ``_canonical`` trusts
+    without sorting again.  Each new vertex set is charged to the budget,
+    which raises ``BudgetExceededError`` once it runs out.
     """
     if budget is None:
         budget = EnumerationBudget()
@@ -288,4 +289,4 @@ def build_copy_hypergraph(
     g: WeightedGraph, h: Pattern, budget: EnumerationBudget | None = None
 ) -> CopyHypergraph:
     """Hypergraph whose hyperedges are the distinct copy vertex sets."""
-    return CopyHypergraph(g.n, tuple(enumerate_copies(g.graph, h, budget)))
+    return CopyHypergraph._canonical(g.n, enumerate_copies(g.graph, h, budget))

@@ -207,8 +207,9 @@ class CopyHypergraph:
 
     Hyperedges are deduplicated as sets and stored canonically: each as a
     sorted tuple, the whole list sorted lexicographically.  The order is
-    therefore independent of insertion order.  The solvers canonicalise
-    here only, and narrow a hypergraph with ``avoiding``.
+    therefore independent of insertion order.  The constructor checks and
+    canonicalises outside input; the package builds from canonical input
+    (``enumerate_copies``) through ``_canonical`` and narrows with ``avoiding``.
     """
 
     n: int
@@ -217,13 +218,21 @@ class CopyHypergraph:
     def __post_init__(self):
         canon = set()
         for e in self.hyperedges:
-            vs = tuple(sorted(set(e)))
+            vs = tuple(sorted(set(map(operator.index, e))))  # TypeError on a non-integer id
             if not vs:
                 raise ValueError("empty hyperedge")
             if vs[0] < 0 or vs[-1] >= self.n:
                 raise ValueError(f"hyperedge {vs} out of range for n={self.n}")
             canon.add(vs)
         object.__setattr__(self, "hyperedges", tuple(sorted(canon)))
+
+    @classmethod
+    def _canonical(cls, n: int, hyperedges: Iterable[tuple[int, ...]]) -> CopyHypergraph:
+        """``hyperedges``, trusted canonical and in range, stored without ``__post_init__``."""
+        hg = object.__new__(cls)
+        object.__setattr__(hg, "n", n)
+        object.__setattr__(hg, "hyperedges", tuple(hyperedges))
+        return hg
 
     def covered_vertices(self) -> tuple[int, ...]:
         return tuple(sorted({v for e in self.hyperedges for v in e}))
@@ -232,14 +241,11 @@ class CopyHypergraph:
         """The hyperedges sharing no vertex with ``vertices``, in their order, on the same n.
 
         A subsequence of canonical hyperedges is canonical, so the view is
-        built without ``__post_init__``; with no vertices it is ``self``.
+        built by ``_canonical``; with no vertices it is ``self``.
         """
         if not vertices:
             return self
-        view = object.__new__(CopyHypergraph)
-        object.__setattr__(view, "n", self.n)
-        object.__setattr__(view, "hyperedges", tuple(filter(vertices.isdisjoint, self.hyperedges)))
-        return view
+        return self._canonical(self.n, filter(vertices.isdisjoint, self.hyperedges))
 
 
 # ASCII digits only: int() alone would also take '1_0' and non-ASCII digits

@@ -131,7 +131,7 @@ def exact_min_vertex_cover(g: Graph, *, cap: int = DEFAULT_CAP) -> int:
     """Exact minimum vertex cover size: the least unit-weight cover of the edges."""
     if g.n > cap:
         raise ValueError(f"instance has {g.n} vertices, oracle cap is {cap}")
-    return len(min_weight_cover(CopyHypergraph(g.n, g.sorted_edges()), [1] * g.n)[0])
+    return len(min_weight_cover(CopyHypergraph._canonical(g.n, g.sorted_edges()), [1] * g.n)[0])
 
 
 @functools.cache

@@ -9,11 +9,12 @@ a cut vertex the gadget is the branch gadget and the factor is k - 1/2;
 otherwise the gadget is the pattern itself with unit weights and the
 zero set of the subtraction is the whole answer.
 
-``solve`` puts its full copy enumeration into one ``CopyHypergraph``,
-keeps every later search on the vertices of the copies that can still
-matter, read off views from ``avoiding``, and checks its result against
-that enumeration; a failure there raises VerificationError and means a
-bug, never bad input.  Each LP reads only the hyperedges it is handed.
+``solve`` puts its full copy enumeration, canonical as returned, into
+one ``CopyHypergraph`` through ``_canonical``, keeps every later search
+on the vertices of the copies that can still matter, read off views
+from ``avoiding``, and checks its result against that enumeration; a
+failure there raises VerificationError and means a bug, never bad input.
+Each LP reads only the hyperedges it is handed.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def solve(
     """
     if budget is None:
         budget = EnumerationBudget()
-    hg = CopyHypergraph(g.n, enumerate_copies(g.graph, h, budget))
+    hg = CopyHypergraph._canonical(g.n, enumerate_copies(g.graph, h, budget))
     cls = classify_pattern(h)
     k, d = h.k, cls.decomposition
     good = construct_good_graph(h, d)

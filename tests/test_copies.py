@@ -238,11 +238,35 @@ def test_budget_flag_and_partial():
     assert budget.used == 2
 
 
+def test_budget_used_is_not_a_constructor_argument():
+    # ``EnumerationBudget(5, -3)`` would otherwise grant 8 units
+    with pytest.raises(TypeError):
+        EnumerationBudget(5, -3)
+    with pytest.raises(TypeError):
+        EnumerationBudget(max_copies=5, used=-3)
+    assert EnumerationBudget(5).used == 0
+
+
 def test_budget_error_in_hypergraph():
     with pytest.raises(BudgetExceededError):
         build_copy_hypergraph(
             unit_weights(complete_graph(4)), K3, EnumerationBudget(max_copies=1)
         )
+
+
+@pytest.mark.parametrize("name", sorted(DIFFERENTIAL_PATTERNS))
+def test_enumeration_is_the_canonical_form_that_hypergraphs_trust(name):
+    # ``_canonical`` stores the enumeration as it is; the constructor's
+    # check and canonicalisation of the same copies must change nothing
+    h = Pattern(DIFFERENTIAL_PATTERNS[name])
+    found = 0
+    for seed in range(6):
+        g = random_graph(12 + 4 * seed, 0.45 - 0.05 * seed, seed)
+        copy_sets = enumerate_copies(g, h)
+        trusted = CopyHypergraph._canonical(g.n, tuple(copy_sets))
+        assert trusted == CopyHypergraph(g.n, copy_sets)
+        found += len(copy_sets)
+    assert found > 0
 
 
 def test_deterministic():

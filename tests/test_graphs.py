@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -409,6 +410,18 @@ def test_hypergraph_validation():
         CopyHypergraph(3, ((-1, 0),))
     assert CopyHypergraph(4, ((1, 0), (0, 1))).hyperedges == ((0, 1),)
     assert CopyHypergraph(4, ((3, 1),)).covered_vertices() == (1, 3)
+
+
+def test_hypergraph_rejects_non_integer_vertex_ids():
+    # the LP would read 1.5 as vertex 1 and certify a cover of another hypergraph
+    with pytest.raises(TypeError):
+        CopyHypergraph(3, [(0, 1.5), (1, 2)])
+    with pytest.raises(TypeError):
+        CopyHypergraph(3, [(0, "1")])
+    # integer types other than int are read through ``operator.index``
+    hg = CopyHypergraph(3, [(np.int64(2), np.int64(0))])
+    assert hg.hyperedges == ((0, 2),)
+    assert {type(v) for v in hg.hyperedges[0]} == {int}
 
 
 def test_hypergraph_avoiding_matches_a_fresh_build():

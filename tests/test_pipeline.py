@@ -22,6 +22,7 @@ from hitset import (
     decompose_weights,
     enumerate_copies,
     exact_min_hitting_set,
+    exact_min_vertex_cover,
     find_rooted_copy,
     gadget_edge_glue,
     guaranteed_factor,
@@ -467,8 +468,11 @@ def test_copy_cover_certified_once_per_gadget():
 
 
 def test_one_canonicalisation_per_solve(monkeypatch):
-    # the solve's one copy hypergraph is canonicalised once; the certificate
-    # LP, the residual and every cover-loop LP read views from ``avoiding``
+    # ``enumerate_copies`` builds the canonical form once; the solve's copy
+    # hypergraph takes it through ``_canonical``, and the certificate LP, the
+    # residual and every cover-loop LP read views from ``avoiding``.  So the
+    # constructor never canonicalises inside a solve, nor in the oracle's
+    # builders: the hitting set, a cold gadget certificate, the vertex cover.
     host = random_graph(640, 0.0125, 1)
     g = WeightedGraph(host, tuple(Fraction(1 + v % 9) for v in range(host.n)))
     paw = Pattern(DIFFERENTIAL_PATTERNS["paw"])
@@ -483,4 +487,10 @@ def test_one_canonicalisation_per_solve(monkeypatch):
     monkeypatch.setattr(CopyHypergraph, "__post_init__", counted)
     sol = solve(g, paw)
     assert len(sol.detail.cover_steps) > 1
-    assert calls == [host.n]
+    small = unit_weights(random_graph(12, 0.4, 1))
+    assert exact_min_hitting_set(small, paw)[1] > 0
+    verify_goodness.cache_clear()
+    assert verify_goodness(construct_good_graph(paw, classify_pattern(paw).decomposition), paw)
+    assert verify_goodness.cache_info().misses == 1
+    assert exact_min_vertex_cover(small.graph) > 0
+    assert calls == []
